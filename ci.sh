@@ -78,7 +78,7 @@ echo "== bench smoke (mixed scenario vs committed baseline, 20% tolerance) =="
 if [[ "${BENCH_SMOKE:-1}" == "1" ]]; then
   cargo run -q --release -p mvc-bench --bin bench_pipeline -- \
     --only mixed --out target/bench_smoke.json \
-    --check BENCH_pipeline.before.json --check-runtime sim
+    --check BENCH_pipeline.json --check-runtime sim
 else
   echo "== bench smoke skipped (BENCH_SMOKE=0) =="
 fi

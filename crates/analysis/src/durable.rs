@@ -22,6 +22,7 @@ use crate::schedule::ScheduleId;
 use mvc_durability::{DurabilityConfig, WalReader, WalRecord, WalWriter};
 use mvc_whips::{recover_and_run, Oracle, SimConfig, Verdict};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bounds for one durable exploration.
 #[derive(Debug, Clone)]
@@ -137,7 +138,12 @@ pub fn explore_durably(
         ..DurableExploreOutcome::default()
     };
     let stride = config.stride.max(1);
-    let tag = std::process::id();
+    // Sweeps may run concurrently in one process (parallel tests) over a
+    // shared scratch directory, so the pid alone does not name a sweep's
+    // files. Relaxed: a uniqueness ticket, publishes nothing.
+    static SWEEPS: AtomicU64 = AtomicU64::new(0);
+    let sweep = SWEEPS.fetch_add(1, Ordering::Relaxed);
+    let tag = format!("{}-{sweep}", std::process::id());
 
     for (i, sched) in explored.complete_schedules.iter().enumerate() {
         let wal_path = config.scratch.join(format!("mvc-durable-{tag}-{i}.wal"));

@@ -344,16 +344,7 @@ pub fn explore(
 
 fn replay_prefix(builder: &PipelineBuilder, prefix: &[Choice]) -> Result<Pipeline, PipelineError> {
     let mut pipe = builder.build()?;
-    for (position, &choice) in prefix.iter().enumerate() {
-        let enabled = pipe.ready()?;
-        if !enabled.contains(&choice) {
-            return Err(PipelineError::NotEnabled {
-                position,
-                choice: choice.to_string(),
-            });
-        }
-        pipe.step(choice)?;
-    }
+    pipe.replay(prefix)?;
     Ok(pipe)
 }
 

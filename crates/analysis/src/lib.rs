@@ -2,8 +2,8 @@
 //!
 //! Protocol analysis toolchain for the MVC reproduction. Five pillars:
 //!
-//! * the **pipeline state machine** ([`pipeline`]): the VM →
-//!   merge-process → warehouse-applier dataflow with every scheduler
+//! * the **pipeline** ([`pipeline`]): the explorer-owned scheduler over
+//!   the Figure 1 state machine (`mvc_whips::machine`), every scheduler
 //!   decision exposed as a named, replayable [`schedule::Choice`];
 //! * the **schedule explorer** ([`mod@explore`]): bounded exhaustive DFS
 //!   over interleavings with sleep-set partial-order reduction, each

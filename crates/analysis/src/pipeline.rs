@@ -1,39 +1,37 @@
-//! The VM → merge-process → warehouse-applier pipeline as an explicit
-//! event-driven state machine with named choice points.
+//! The explorer-owned scheduler over the Figure 1 state machine
+//! (`mvc_whips::machine::Machine`): the VM → merge-process →
+//! warehouse-applier pipeline with named choice points.
 //!
-//! This mirrors the deterministic simulator (`mvc_whips::sim`) exactly —
-//! same message kinds, same per-channel FIFOs, same component semantics —
-//! but exposes the scheduler as data: [`Pipeline::enabled`] lists the
-//! choices open in the current state and [`Pipeline::step`] executes one.
-//! Replaying the same [`Choice`] sequence from a fresh build reproduces
-//! the same history bit for bit, which is what makes violating schedules
-//! serializable as regression tests.
+//! The machine is the one the deterministic simulator runs — same
+//! message kinds, same per-channel FIFOs, same component transitions,
+//! same WAL records — but here the scheduler is data: [`Pipeline::enabled`]
+//! lists the choices open in the current state and [`Pipeline::step`]
+//! executes one. Replaying the same [`Choice`] sequence from a fresh build
+//! reproduces the same history bit for bit, which is what makes violating
+//! schedules serializable as regression tests.
 //!
-//! Two deliberate simplifications against the simulator: there is no
-//! random scheduler (the explorer owns all nondeterminism), and the
+//! Two deliberate differences from the simulator's scheduler: there is no
+//! random lottery (the explorer owns all nondeterminism), and the
 //! drain-phase flush nudges are *not* choice points — when no choice is
 //! enabled but the system is not yet quiescent, a deterministic flush
 //! round runs (every VM, then every merge process, in id order). Flush
 //! timing is a liveness heuristic of the driver, not a protocol event;
 //! the message deliveries a flush provokes are still explored as choices.
+//! The explorer also adds nothing to the machine's transitions: no
+//! step-unit bookkeeping, no read path, and a journal without paint or
+//! checkpoint records.
 
-use crate::schedule::{ChanId, Choice, ScheduleId};
-use mvc_core::{
-    ActionList, CommitPolicy, ConsistencyLevel, MergeAlgorithm, MergeProcess, Partitioning, TxnSeq,
-    UpdateId, ViewId,
-};
-use mvc_durability::{DurabilityConfig, WalRecord, WalWriter};
-use mvc_relational::{Catalog, Delta, RelationName, Schema, ViewDef};
-use mvc_source::{GlobalSeq, SourceCluster, SourceId, SourceUpdate};
-use mvc_viewmgr::{
-    answer_query, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, ViewManager, VmEvent,
-    VmOutput,
-};
-use mvc_warehouse::{StoreTxn, Warehouse};
-use mvc_whips::sim::{CommitLogEntry, SimReport, WorkloadTxn};
+#![deny(clippy::too_many_lines)]
+
+use crate::schedule::{Choice, ScheduleId};
+use mvc_core::{CommitPolicy, MergeAlgorithm, ViewId};
+use mvc_durability::DurabilityConfig;
+use mvc_relational::{Catalog, RelationName, Schema, ViewDef};
+use mvc_source::{SourceCluster, SourceId};
+use mvc_whips::machine::{assemble, Machine, SOURCE_CHECKPOINT_INTERVAL};
+use mvc_whips::sim::{SimError, SimReport, WorkloadTxn};
 use mvc_whips::workload::Deployment;
-use mvc_whips::{ManagerKind, SimMetrics, ViewRegistry};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use mvc_whips::{ManagerKind, ViewRegistry};
 use std::fmt;
 
 /// Explorer-facing pipeline errors. Protocol errors (merge, view
@@ -124,22 +122,19 @@ impl Default for PipelineConfig {
 #[derive(Clone)]
 pub struct PipelineBuilder {
     config: PipelineConfig,
-    relations: Vec<(SourceId, RelationName, Schema)>,
+    /// The sources at `ss_0`: relations declared, nothing executed.
+    cluster: SourceCluster,
     registry: ViewRegistry,
     workload: Vec<WorkloadTxn>,
-    /// Catalog mirror so view definitions can be built against the
-    /// declared relations before any pipeline exists.
-    catalog: Catalog,
 }
 
 impl PipelineBuilder {
     pub fn new(config: PipelineConfig) -> Self {
         PipelineBuilder {
             config,
-            relations: Vec::new(),
+            cluster: SourceCluster::new(SOURCE_CHECKPOINT_INTERVAL),
             registry: ViewRegistry::new(),
             workload: Vec::new(),
-            catalog: Catalog::new(),
         }
     }
 
@@ -149,11 +144,9 @@ impl PipelineBuilder {
         name: impl Into<RelationName>,
         schema: Schema,
     ) -> Self {
-        let name = name.into();
-        self.catalog
-            .define(name.clone(), schema.clone())
+        self.cluster
+            .create_relation(source, name, schema)
             .expect("relation definition");
-        self.relations.push((source, name, schema));
         self
     }
 
@@ -168,7 +161,7 @@ impl PipelineBuilder {
     }
 
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.cluster.catalog()
     }
 
     pub fn registry(&self) -> &ViewRegistry {
@@ -181,107 +174,40 @@ impl PipelineBuilder {
 
     /// Build a fresh pipeline at the initial state `ss_0`.
     pub fn build(&self) -> Result<Pipeline, PipelineError> {
-        let mut cluster = SourceCluster::new(64);
-        for (source, name, schema) in &self.relations {
-            cluster
-                .create_relation(*source, name.clone(), schema.clone())
-                .map_err(|e| PipelineError::Build(format!("relation {name}: {e}")))?;
-        }
-
-        let partitioning = self.registry.partitioning(self.config.partition);
-        let groups = partitioning.group_count().max(1);
-        let mut group_views: Vec<BTreeSet<ViewId>> = vec![BTreeSet::new(); groups];
-        for id in self.registry.ids() {
-            let g = partitioning.group_of_view(id).unwrap_or(0);
-            group_views[g].insert(id);
-        }
-
-        let mut mps = Vec::with_capacity(groups);
-        let mut guarantees = Vec::with_capacity(groups);
-        for views in group_views.iter() {
-            let levels: Vec<(ViewId, ConsistencyLevel)> = self
-                .registry
-                .levels()
-                .into_iter()
-                .filter(|(v, _)| views.contains(v))
-                .collect();
-            let mp = match self.config.algorithm {
-                Some(alg) => MergeProcess::new(
-                    alg,
-                    levels.iter().map(|(v, _)| *v),
-                    self.config.commit_policy,
-                ),
-                None => MergeProcess::for_managers(levels, self.config.commit_policy),
-            };
-            guarantees.push(mp.guarantees());
-            mps.push(mp);
-        }
-
-        let mut vms: BTreeMap<ViewId, Box<dyn ViewManager>> = BTreeMap::new();
-        let mut warehouse = Warehouse::new(self.config.record_snapshots);
-        for e in self.registry.iter() {
-            vms.insert(
-                e.id,
-                e.kind
-                    .build(e.id, e.def.clone())
-                    .map_err(|err| PipelineError::Build(format!("view {}: {err}", e.id)))?,
-            );
-            warehouse
-                .register_view(
-                    e.id,
-                    e.def.name.clone(),
-                    mvc_relational::Relation::shared(e.def.schema.clone()),
-                )
-                .map_err(|err| PipelineError::Build(format!("warehouse view {}: {err}", e.id)))?;
-        }
-
-        let integrator = mvc_whips::Integrator::new(
-            self.registry.clone(),
-            self.registry.partitioning(self.config.partition),
-            self.config.tuple_relevance,
-        );
-
+        let c = &self.config;
+        let assembly = assemble(
+            &self.registry,
+            c.partition,
+            None,
+            c.algorithm,
+            c.commit_policy,
+            c.tuple_relevance,
+            c.record_snapshots,
+        )
+        .map_err(|e| PipelineError::Build(e.to_string()))?;
         Ok(Pipeline {
-            breakage: self.config.breakage,
-            cluster,
-            integrator,
-            vms,
-            mps,
-            warehouse,
-            channels: BTreeMap::new(),
-            workload: self.workload.iter().cloned().collect(),
-            reorder_buf: Vec::new(),
-            metrics: SimMetrics::default(),
-            group_updates: vec![BTreeMap::new(); groups],
-            guarantees,
-            group_views,
-            commit_log: Vec::new(),
-            routed: BTreeSet::new(),
-            registry: self.registry.clone(),
-            partitioning,
+            machine: Machine::new(
+                self.cluster.clone(),
+                assembly,
+                self.workload.clone(),
+                c.breakage.map(|Breakage::ReorderCommits { depth }| depth),
+                (),
+            ),
             flushed_all: false,
             flush_rounds: 0,
-            wal: None,
-            log_deliveries: BTreeSet::new(),
         })
     }
 
     /// Build a fresh pipeline that journals every protocol event into a
-    /// write-ahead log — the same records, at the same sites, as the
-    /// durable simulator — so any record prefix of the resulting log can
-    /// be crash-recovered by [`mvc_whips::recover_and_run`].
+    /// write-ahead log, so any record prefix of the resulting log can be
+    /// crash-recovered by [`mvc_whips::recover_and_run`]. The journal
+    /// carries no checkpoints: `checkpoint_every` is the simulator's
+    /// cadence, not the explorer's.
     pub fn build_durable(&self, dcfg: &DurabilityConfig) -> Result<Pipeline, PipelineError> {
         let mut pipe = self.build()?;
-        pipe.wal =
-            Some(WalWriter::create(dcfg).map_err(|e| PipelineError::Build(format!("wal: {e}")))?);
-        // Delivery-replay manager kinds journal their delivered events
-        // (log-ahead), exactly like the simulator's `snapshot_logged` set.
-        pipe.log_deliveries = self
-            .registry
-            .iter()
-            .filter(|e| e.kind.needs_delivery_replay())
-            .map(|e| e.id)
-            .collect();
+        pipe.machine
+            .attach_wal(dcfg)
+            .map_err(|e| PipelineError::Build(format!("wal: {e}")))?;
         Ok(pipe)
     }
 
@@ -304,16 +230,7 @@ impl PipelineBuilder {
     }
 
     fn run_schedule(mut pipe: Pipeline, schedule: &ScheduleId) -> Result<SimReport, PipelineError> {
-        for (position, &choice) in schedule.0.iter().enumerate() {
-            let enabled = pipe.ready()?;
-            if !enabled.contains(&choice) {
-                return Err(PipelineError::NotEnabled {
-                    position,
-                    choice: choice.to_string(),
-                });
-            }
-            pipe.step(choice)?;
-        }
+        pipe.replay(&schedule.0)?;
         let rest = pipe.ready()?;
         if !rest.is_empty() {
             return Err(PipelineError::Stalled(format!(
@@ -335,55 +252,17 @@ impl Deployment for PipelineBuilder {
         self.view(id, def, kind)
     }
     fn view_catalog(&self) -> &Catalog {
-        &self.catalog
+        self.catalog()
     }
-}
-
-/// In-flight message payloads (the simulator's `Msg`, minus dynamic view
-/// installation which the explorer does not model).
-#[derive(Debug)]
-enum Msg {
-    SrcUpdate(std::sync::Arc<SourceUpdate>),
-    AnswerFor(ViewId, QueryToken, QueryAnswer),
-    Update(NumberedUpdate),
-    Answer(QueryToken, QueryAnswer),
-    Rel(UpdateId, BTreeSet<ViewId>),
-    Action(ActionList<Delta>),
-    Query(QueryToken, Box<QueryRequest>),
-    Txn(StoreTxn),
-    Committed(TxnSeq),
 }
 
 /// One explorable pipeline instance.
 pub struct Pipeline {
-    breakage: Option<Breakage>,
-    cluster: SourceCluster,
-    integrator: mvc_whips::Integrator,
-    vms: BTreeMap<ViewId, Box<dyn ViewManager>>,
-    mps: Vec<MergeProcess<Delta>>,
-    warehouse: Warehouse,
-    channels: BTreeMap<ChanId, VecDeque<Msg>>,
-    workload: VecDeque<WorkloadTxn>,
-    reorder_buf: Vec<(usize, StoreTxn)>,
-    metrics: SimMetrics,
-    group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>>,
-    guarantees: Vec<ConsistencyLevel>,
-    group_views: Vec<BTreeSet<ViewId>>,
-    commit_log: Vec<CommitLogEntry>,
-    routed: BTreeSet<GlobalSeq>,
-    registry: ViewRegistry,
-    partitioning: Partitioning<RelationName>,
-    /// Every component received at least one end-of-run flush (mirrors
-    /// the simulator's drain contract for batching/convergent parts).
+    machine: Machine<()>,
+    /// Every component received at least one end-of-run flush (the drain
+    /// contract batching/convergent parts rely on).
     flushed_all: bool,
     flush_rounds: usize,
-    /// Write-ahead log, attached by [`PipelineBuilder::build_durable`]:
-    /// the same records at the same protocol sites as the simulator, so
-    /// every record prefix is a legal crash point for recovery.
-    wal: Option<WalWriter>,
-    /// Views whose manager kinds recover by delivery replay — their
-    /// delivered events are journaled log-ahead.
-    log_deliveries: BTreeSet<ViewId>,
 }
 
 /// Hard cap on drain flush rounds — matches the simulator's bound; a
@@ -394,25 +273,12 @@ impl Pipeline {
     /// Scheduler choices enabled in the current state, in canonical
     /// order: inject first, then nonempty channels in `ChanId` order.
     pub fn enabled(&self) -> Vec<Choice> {
-        let mut out = Vec::new();
-        if !self.workload.is_empty() {
-            out.push(Choice::Inject);
-        }
-        for (&c, q) in &self.channels {
-            if !q.is_empty() {
-                out.push(Choice::Deliver(c));
-            }
-        }
-        out
+        self.machine.enabled()
     }
 
     /// All messages consumed, all components idle.
     pub fn quiescent(&self) -> bool {
-        self.workload.is_empty()
-            && self.channels.values().all(VecDeque::is_empty)
-            && self.vms.values().all(|v| v.is_idle())
-            && self.mps.iter().all(MergeProcess::is_quiescent)
-            && self.reorder_buf.is_empty()
+        self.machine.pending_workload() == 0 && self.machine.quiescent()
     }
 
     /// Enabled choices after applying any deterministic drain rounds.
@@ -432,7 +298,8 @@ impl Pipeline {
     }
 
     /// One deterministic drain round: flush every view manager (id
-    /// order), then every merge group, then any breakage buffer. Not a
+    /// order), then every merge group, then any breakage buffer (the
+    /// chaos buffer commits its reversed remainder at drain time). Not a
     /// choice point — see the module docs.
     fn flush_round(&mut self) -> Result<(), PipelineError> {
         self.flush_rounds += 1;
@@ -441,30 +308,34 @@ impl Pipeline {
                 "{MAX_FLUSH_ROUNDS} flush rounds without quiescence"
             )));
         }
-        let ids: Vec<ViewId> = self.vms.keys().copied().collect();
-        for v in ids {
-            if self.log_deliveries.contains(&v) {
-                self.log(&WalRecord::VmFlushDelivered { view: v })?;
-            }
-            let outs = self
-                .vms
-                .get_mut(&v)
-                .expect("known view")
-                .handle(VmEvent::Flush)
-                .map_err(|e| PipelineError::Step {
-                    choice: format!("flush({v})"),
-                    detail: e.to_string(),
-                })?;
-            self.route_vm_outputs(v, outs);
+        let m = &mut self.machine;
+        let views: Vec<ViewId> = m.views().collect();
+        for v in views {
+            m.flush_vm(v)
+                .map_err(|e| step_err(format!("flush({v})"), e))?;
         }
-        for g in 0..self.mps.len() {
-            let released = self.mps[g].flush();
-            self.push_released(g, released)?;
+        for g in 0..m.groups() {
+            m.flush_merge(g)
+                .map_err(|e| step_err(format!("flush(MP{g})"), e))?;
         }
-        // The chaos buffer commits its (reversed) remainder at drain time,
-        // exactly like the simulator's reorder fault.
-        self.flush_reorder_buffer()?;
+        m.flush_reorder_buffer()
+            .map_err(|e| step_err("flush(applier)", e))?;
         self.flushed_all = true;
+        Ok(())
+    }
+
+    /// Step through `choices`, each of which must be enabled (after any
+    /// drain rounds) where it is taken.
+    pub(crate) fn replay(&mut self, choices: &[Choice]) -> Result<(), PipelineError> {
+        for (position, &choice) in choices.iter().enumerate() {
+            if !self.ready()?.contains(&choice) {
+                return Err(PipelineError::NotEnabled {
+                    position,
+                    choice: choice.to_string(),
+                });
+            }
+            self.step(choice)?;
+        }
         Ok(())
     }
 
@@ -472,286 +343,44 @@ impl Pipeline {
     /// [`Pipeline::enabled`]/[`Pipeline::ready`]; stepping a non-enabled
     /// choice fails typed.
     pub fn step(&mut self, choice: Choice) -> Result<(), PipelineError> {
-        self.metrics.steps += 1;
-        match choice {
-            Choice::Inject => self.inject(),
-            Choice::Deliver(chan) => self.deliver(chan),
-        }
-    }
-
-    fn send(&mut self, chan: ChanId, msg: Msg) {
-        self.channels.entry(chan).or_default().push_back(msg);
-    }
-
-    /// Log-ahead append; a no-op without an attached WAL. The explorer
-    /// injects no WAL faults, so an append error is a real I/O failure.
-    fn log(&mut self, rec: &WalRecord) -> Result<(), PipelineError> {
-        if let Some(w) = self.wal.as_mut() {
-            w.append(rec).map_err(|e| PipelineError::Step {
-                choice: "wal-append".to_string(),
-                detail: e.to_string(),
-            })?;
-        }
-        Ok(())
-    }
-
-    fn inject(&mut self) -> Result<(), PipelineError> {
-        let t = self.workload.pop_front().ok_or(PipelineError::NotEnabled {
-            position: self.metrics.steps as usize,
-            choice: "I".to_string(),
-        })?;
-        let update = if t.global {
-            self.cluster.execute_global(t.source, t.writes)
-        } else {
-            self.cluster.execute(t.source, t.writes)
-        }
-        .map_err(|e| PipelineError::Step {
-            choice: "I".to_string(),
-            detail: e.to_string(),
-        })?;
-        self.metrics.injected += 1;
-        self.send(
-            ChanId::SrcToInt,
-            Msg::SrcUpdate(std::sync::Arc::new(update)),
-        );
-        Ok(())
-    }
-
-    fn deliver(&mut self, chan: ChanId) -> Result<(), PipelineError> {
-        let msg = self
-            .channels
-            .get_mut(&chan)
-            .and_then(VecDeque::pop_front)
-            .ok_or(PipelineError::NotEnabled {
-                position: self.metrics.steps as usize,
-                choice: Choice::Deliver(chan).to_string(),
-            })?;
-        self.metrics.messages_delivered += 1;
-        let step_err = |detail: String| PipelineError::Step {
-            choice: Choice::Deliver(chan).to_string(),
-            detail,
-        };
-        match (chan, msg) {
-            (ChanId::SrcToInt, Msg::SrcUpdate(u)) => {
-                if self.wal.is_some() {
-                    self.log(&WalRecord::SourceUpdate(std::sync::Arc::clone(&u)))?;
-                }
-                let routings = self.integrator.route(u);
-                for r in routings {
-                    self.routed.insert(r.numbered.seq());
-                    self.group_updates[r.group].insert(r.numbered.id, r.numbered.seq());
-                    self.send(
-                        ChanId::IntToMp(r.group),
-                        Msg::Rel(r.numbered.id, r.rel.clone()),
-                    );
-                    for v in r.rel {
-                        // seal: fan-out shares the routed payload's Arc
-                        // handle, never the tuple data
-                        self.send(ChanId::IntToVm(v), Msg::Update(r.numbered.clone()));
-                    }
-                }
-            }
-            (ChanId::SrcToInt, Msg::AnswerFor(v, token, answer)) => {
-                // Same FIFO as the view's updates: answers cannot overtake
-                // the updates they reflect.
-                self.send(ChanId::IntToVm(v), Msg::Answer(token, answer));
-            }
-            (ChanId::IntToVm(v), msg @ (Msg::Update(_) | Msg::Answer(..))) => {
-                let event = match msg {
-                    Msg::Update(u) => {
-                        if self.log_deliveries.contains(&v) {
-                            self.log(&WalRecord::VmUpdateDelivered { view: v, id: u.id })?;
-                        }
-                        VmEvent::Update(u)
-                    }
-                    Msg::Answer(token, answer) => {
-                        // By value: re-asking the sources post-crash would
-                        // observe a different state than the manager
-                        // compensated for.
-                        if self.log_deliveries.contains(&v) {
-                            self.log(&WalRecord::VmAnswerDelivered {
-                                view: v,
-                                token,
-                                answer: answer.clone(),
-                            })?;
-                        }
-                        VmEvent::Answer { token, answer }
-                    }
-                    _ => unreachable!("guarded by the outer pattern"),
-                };
-                let outs = self
-                    .vms
-                    .get_mut(&v)
-                    .expect("known view")
-                    .handle(event)
-                    .map_err(|e| step_err(e.to_string()))?;
-                self.route_vm_outputs(v, outs);
-            }
-            (ChanId::VmToQs(v), Msg::Query(token, request)) => {
-                let answer =
-                    answer_query(&self.cluster, &request).map_err(|e| step_err(e.to_string()))?;
-                self.send(ChanId::SrcToInt, Msg::AnswerFor(v, token, answer));
-            }
-            (ChanId::IntToMp(g), Msg::Rel(id, rel)) => {
-                if self.wal.is_some() {
-                    self.log(&WalRecord::RelInstalled {
-                        group: g as u64,
-                        id,
-                        rel: rel.clone(),
-                    })?;
-                }
-                let released = self.mps[g]
-                    .on_rel(id, rel)
-                    .map_err(|e| step_err(e.to_string()))?;
-                self.push_released(g, released)?;
-            }
-            (ChanId::VmToMp(v), Msg::Action(al)) => {
-                let g = self.partitioning.group_of_view(v).unwrap_or(0);
-                if self.wal.is_some() {
-                    self.log(&WalRecord::ActionInstalled {
-                        group: g as u64,
-                        al: al.clone(),
-                    })?;
-                }
-                let released = self.mps[g]
-                    .on_action(al)
-                    .map_err(|e| step_err(e.to_string()))?;
-                self.push_released(g, released)?;
-            }
-            (ChanId::MpToWh(g), Msg::Txn(txn)) => {
-                self.commit_or_buffer(g, txn)?;
-            }
-            (ChanId::WhToMp(g), Msg::Committed(seq)) => {
-                self.log(&WalRecord::CommitAcked {
-                    group: g as u64,
-                    seq,
-                })?;
-                let released = self.mps[g].on_committed(seq);
-                self.push_released(g, released)?;
-            }
-            (c, m) => {
-                return Err(step_err(format!("message {m:?} on channel {c:?}")));
-            }
-        }
-        Ok(())
-    }
-
-    fn route_vm_outputs(&mut self, v: ViewId, outs: Vec<VmOutput>) {
-        for o in outs {
-            match o {
-                VmOutput::Action(al) => self.send(ChanId::VmToMp(v), Msg::Action(al)),
-                VmOutput::Query { token, request } => {
-                    self.send(ChanId::VmToQs(v), Msg::Query(token, Box::new(request)));
-                }
-            }
-        }
-    }
-
-    fn push_released(&mut self, g: usize, released: Vec<StoreTxn>) -> Result<(), PipelineError> {
-        for t in released {
-            if self.wal.is_some() {
-                // Full payload: a txn released before a crash point but
-                // committed after it cannot be regenerated by tail replay.
-                self.log(&WalRecord::GroupReleased {
-                    group: g as u64,
-                    txn: t.clone(),
-                })?;
-            }
-            self.send(ChanId::MpToWh(g), Msg::Txn(t));
-        }
-        Ok(())
-    }
-
-    fn commit_or_buffer(&mut self, g: usize, txn: StoreTxn) -> Result<(), PipelineError> {
-        match self.breakage {
-            Some(Breakage::ReorderCommits { depth }) => {
-                self.reorder_buf.push((g, txn));
-                if self.reorder_buf.len() >= depth.max(1) {
-                    self.flush_reorder_buffer()?;
-                }
-                Ok(())
-            }
-            None => self.commit(g, txn),
-        }
-    }
-
-    fn flush_reorder_buffer(&mut self) -> Result<(), PipelineError> {
-        let buf: Vec<(usize, StoreTxn)> = self.reorder_buf.drain(..).rev().collect();
-        for (g, txn) in buf {
-            self.commit(g, txn)?;
-        }
-        Ok(())
-    }
-
-    fn commit(&mut self, g: usize, txn: StoreTxn) -> Result<(), PipelineError> {
-        let seq = txn.seq;
-        self.log(&WalRecord::TxnCommitted {
-            group: g as u64,
-            seq,
-        })?;
-        self.warehouse
-            .apply(&txn)
-            .map_err(|e| PipelineError::Step {
-                choice: format!("commit({g},{seq})"),
-                detail: e.to_string(),
-            })?;
-        self.commit_log.push(CommitLogEntry {
-            group: g,
-            seq,
-            rows: txn.rows.clone(),
-            views: txn.views.clone(),
-        });
-        self.metrics.commits += 1;
-        self.send(ChanId::WhToMp(g), Msg::Committed(seq));
-        Ok(())
+        self.machine.step(choice).map_err(|e| match e {
+            SimError::NotEnabled(c) => PipelineError::NotEnabled {
+                position: self.machine.metrics().steps as usize,
+                choice: c.to_string(),
+            },
+            e => step_err(choice, e),
+        })
     }
 
     /// Consume the quiescent pipeline into an oracle-checkable report.
-    pub fn finish(mut self) -> Result<SimReport, PipelineError> {
+    pub fn finish(self) -> Result<SimReport, PipelineError> {
         if !self.quiescent() {
             return Err(PipelineError::Stalled(
                 "finish() before quiescence".to_string(),
             ));
         }
-        if let Some(mut w) = self.wal.take() {
-            w.finalize().map_err(|e| PipelineError::Step {
-                choice: "wal-finalize".to_string(),
-                detail: e.to_string(),
-            })?;
-        }
-        let merge_stats = self.mps.iter().map(MergeProcess::stats).collect();
-        let commit_stats = self.mps.iter().map(MergeProcess::commit_stats).collect();
-        Ok(SimReport {
-            cluster: self.cluster,
-            warehouse: self.warehouse,
-            registry: self.registry,
-            partitioning: self.partitioning,
-            group_updates: self.group_updates,
-            metrics: self.metrics,
-            merge_stats,
-            commit_stats,
-            guarantees: self.guarantees,
-            group_views: self.group_views,
-            commit_log: self.commit_log,
-            pipeline: mvc_whips::PipelineObs::new("steps"),
-            routed: self.routed,
-            activations: BTreeMap::new(),
-            // The explorer's pipeline state machine has no reader
-            // workload; nothing to certify on the read side. It is also
-            // never sharded.
-            read_observations: Vec::new(),
-            initial_fingerprints: BTreeMap::new(),
-            shard_plane: None,
-        })
+        let (report, ()) = self
+            .machine
+            .finish()
+            .map_err(|e| step_err("wal-finalize", e))?;
+        Ok(report)
     }
 
     /// Number of merge groups (needed by the independence relation).
     pub fn groups(&self) -> usize {
-        self.mps.len()
+        self.machine.groups()
     }
 
     /// Group owning a view — delegates to the §6.1 partitioning.
     pub fn group_of_view(&self, v: ViewId) -> usize {
-        self.partitioning.group_of_view(v).unwrap_or(0)
+        self.machine.group_of_view(v)
+    }
+}
+
+/// A component (or the log) rejected an event while executing `choice`.
+fn step_err(choice: impl ToString, e: SimError) -> PipelineError {
+    PipelineError::Step {
+        choice: choice.to_string(),
+        detail: e.to_string(),
     }
 }

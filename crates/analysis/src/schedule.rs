@@ -1,4 +1,6 @@
-//! Named choice points and replayable schedule identities.
+//! Replayable schedule identities over the machine's named choice points
+//! ([`Choice`], [`ChanId`] — defined beside the state machine in
+//! `mvc_whips::machine`).
 //!
 //! A schedule is the exact sequence of scheduler choices the explorer (or
 //! a replay) makes: inject the next workload transaction, or deliver the
@@ -8,52 +10,9 @@
 //! history, same oracle verdict.
 
 use mvc_core::ViewId;
+pub use mvc_whips::{ChanId, Choice};
 use std::fmt;
 use std::str::FromStr;
-
-/// A named channel of the modelled pipeline (the arrows of Figure 1).
-/// The `Ord` order is the canonical exploration order at every node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ChanId {
-    /// Sources → integrator (updates, forwarded query answers).
-    SrcToInt,
-    /// Integrator → one view manager (updates, answers, flush nudges).
-    IntToVm(ViewId),
-    /// Integrator → one merge group (`REL_i` relevance sets).
-    IntToMp(usize),
-    /// One view manager → its merge group (action lists).
-    VmToMp(ViewId),
-    /// One view manager → the query service (source queries).
-    VmToQs(ViewId),
-    /// One merge group → the warehouse applier (released `WT`s).
-    MpToWh(usize),
-    /// Warehouse applier → one merge group (commit acknowledgements).
-    WhToMp(usize),
-}
-
-/// One scheduler choice: the explorer's unit of interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Choice {
-    /// Execute the next workload transaction at the sources.
-    Inject,
-    /// Deliver the head message of the named channel.
-    Deliver(ChanId),
-}
-
-impl fmt::Display for Choice {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Choice::Inject => write!(f, "I"),
-            Choice::Deliver(ChanId::SrcToInt) => write!(f, "S"),
-            Choice::Deliver(ChanId::IntToVm(v)) => write!(f, "v{}", v.0),
-            Choice::Deliver(ChanId::IntToMp(g)) => write!(f, "m{g}"),
-            Choice::Deliver(ChanId::VmToMp(v)) => write!(f, "a{}", v.0),
-            Choice::Deliver(ChanId::VmToQs(v)) => write!(f, "q{}", v.0),
-            Choice::Deliver(ChanId::MpToWh(g)) => write!(f, "W{g}"),
-            Choice::Deliver(ChanId::WhToMp(g)) => write!(f, "C{g}"),
-        }
-    }
-}
 
 /// A serialized schedule: `.`-joined choice tokens, e.g.
 /// `I.I.S.v1.a1.m0.W0.C0`.

@@ -257,17 +257,12 @@ impl SourceCluster {
             self.current
                 .apply(&name, &delta)
                 .expect("validated before commit");
-            let interval = self.checkpoint_interval;
-            let current_rel = self
-                .current
-                .relation(&name)
-                .expect("existing relation")
-                .clone();
             let log = self.logs.get_mut(&name).expect("existing relation");
             log.deltas.insert(seq, delta.clone());
             log.since_checkpoint += 1;
-            if log.since_checkpoint >= interval {
-                log.checkpoints.insert(seq, current_rel);
+            if log.since_checkpoint >= self.checkpoint_interval {
+                let current_rel = self.current.relation(&name).expect("existing relation");
+                log.checkpoints.insert(seq, current_rel.clone());
                 log.since_checkpoint = 0;
             }
             changes.push(RelationChange {

@@ -1,7 +1,8 @@
 //! # mvc-whips
 //!
 //! WHIPS-style system assembly for the MVC reproduction: the integrator
-//! (§3.2), a deterministic event simulator of the Figure 1 architecture,
+//! (§3.2), the Figure 1 architecture as one explicit state machine
+//! ([`machine`]) with a deterministic seeded scheduler over it ([`sim`]),
 //! a threaded runtime (one OS thread per process over crossbeam FIFO
 //! channels), workload generators, metrics for the §7 experiments, the
 //! consistency oracle that machine-checks the §2 definitions, and canned
@@ -10,6 +11,7 @@
 #![forbid(unsafe_code)]
 
 pub mod integrator;
+pub mod machine;
 pub mod metrics;
 pub mod obs;
 pub mod oracle;
@@ -22,6 +24,7 @@ pub mod threaded;
 pub mod workload;
 
 pub use integrator::{GroupRouting, Integrator};
+pub use machine::{ChanId, Choice};
 // Re-exported so oracle users can name the read-certification types
 // without a direct mvc-readpath dependency.
 pub use metrics::{SimMetrics, Summary};

@@ -33,19 +33,17 @@
 //! second crash during recovery would need the recovered state itself to
 //! be checkpointed first, which is exactly a fresh WAL — out of scope.
 
-use crate::integrator::Integrator;
+use crate::machine::{assemble, Assembly, ChanId, Msg};
 use crate::registry::ViewRegistry;
 use crate::sim::{CommitLogEntry, Sim, SimConfig, SimError, SimReport, WorkloadTxn};
-use mvc_core::{ConsistencyLevel, MergeProcess, TxnSeq, UpdateId, ViewId};
+use mvc_core::{MergeProcess, TxnSeq, UpdateId, ViewId};
 use mvc_durability::{WalError, WalReader, WalRecord};
-use mvc_relational::Delta;
 use mvc_source::{GlobalSeq, SourceCluster, SourceUpdate};
 use mvc_viewmgr::{
-    ActionListDelta, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, ViewManager, VmEvent,
-    VmOutput,
+    ActionListDelta, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, VmEvent, VmOutput,
 };
 use mvc_warehouse::{StoreTxn, Warehouse};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -119,19 +117,16 @@ impl From<SimError> for RecoveryError {
 
 /// Everything the scan reconstructs; consumed by `Sim::resume`.
 pub(crate) struct RecoveredState {
-    pub(crate) integrator: Integrator,
-    pub(crate) warehouse: Warehouse,
-    pub(crate) mps: Vec<MergeProcess<Delta>>,
-    /// Recovered view managers: watermark kinds re-initialized at their
-    /// install watermark, delivery-replay kinds rebuilt from their logged
+    /// The deployment's components as the crash left them: integrator
+    /// counters, engines and warehouse restored from the newest
+    /// checkpoint (if any) and rolled forward over the log tail; view
+    /// managers of watermark kinds re-initialized at their install
+    /// watermark, of delivery-replay kinds rebuilt from their logged
     /// event sequence.
-    pub(crate) vms: BTreeMap<ViewId, Box<dyn ViewManager>>,
-    pub(crate) guarantees: Vec<ConsistencyLevel>,
-    pub(crate) group_views: Vec<BTreeSet<ViewId>>,
+    pub(crate) assembly: Assembly,
     pub(crate) commit_log: Vec<CommitLogEntry>,
     /// Per group: local id → global seq, for every routed update.
     pub(crate) group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>>,
-    pub(crate) routed: BTreeSet<GlobalSeq>,
     /// Per group, in arrival (= id) order: every routing decision.
     pub(crate) route_lists: Vec<Vec<(UpdateId, NumberedUpdate, BTreeSet<ViewId>)>>,
     /// Per group: highest REL id durably delivered to the engine.
@@ -167,6 +162,77 @@ impl RecoveredState {
     ) -> impl Iterator<Item = &'a SourceUpdate> {
         let after = self.last_logged_src;
         cluster.history().iter().filter(move |u| u.seq > after)
+    }
+
+    /// Every message that was in flight at the crash (or lost with the
+    /// log tail), back on the channel it was travelling.
+    pub(crate) fn in_flight(&mut self, cluster: &SourceCluster) -> BTreeMap<ChanId, VecDeque<Msg>> {
+        let mut channels: BTreeMap<ChanId, VecDeque<Msg>> = BTreeMap::new();
+        let mut push = |chan: ChanId, msg: Msg| channels.entry(chan).or_default().push_back(msg);
+
+        // Source updates the integrator never durably saw: re-deliver
+        // from the (surviving) source history.
+        for u in self.cluster_tail(cluster) {
+            // seal: replay owns its payload — the surviving history entry
+            // is deep-copied once into a fresh Arc, off the hot path
+            push(ChanId::SrcToInt, Msg::SrcUpdate(Arc::new(u.clone())));
+        }
+
+        // REL messages past each group's installed watermark (per-channel
+        // FIFO makes the durable prefix gapless), and per-view update
+        // messages past each view's AL watermark.
+        for (g, list) in self.route_lists.iter().enumerate() {
+            for (id, _, rel) in list {
+                if *id > self.installed_rel[g] {
+                    push(ChanId::IntToMp(g), Msg::Rel(*id, rel.clone()));
+                }
+            }
+        }
+        for (g, views) in self.assembly.group_views.iter().enumerate() {
+            for &v in views {
+                // Delivery-replay views: everything routed to the view
+                // but not in its durable delivery log was in flight when
+                // the crash hit. Watermark views: everything past the
+                // view's AL watermark. Either way re-deliver in id order.
+                let del = self.delivered.get(&v);
+                let watermark = self.installed_al.get(&v).copied().unwrap_or(UpdateId::ZERO);
+                let replayed = self.replayed_views.contains(&v);
+                for (id, numbered, rel) in &self.route_lists[g] {
+                    let lost = if replayed {
+                        !del.is_some_and(|d| d.contains(id))
+                    } else {
+                        *id > watermark
+                    };
+                    if rel.contains(&v) && lost {
+                        // seal: re-delivery fan-out clones the Arc
+                        // handle, never the tuple payload.
+                        push(ChanId::IntToVm(v), Msg::Update(numbered.clone()));
+                    }
+                }
+            }
+        }
+
+        // What the delivery replay re-emitted and the crashed run still
+        // had in flight: action lists back onto VM→MP, unanswered queries
+        // back onto VM→QS (the answer rides src→int→vm FIFO behind every
+        // re-enqueued update, preserving the compensation ordering).
+        for (v, al) in std::mem::take(&mut self.vm_requeue_actions) {
+            push(ChanId::VmToMp(v), Msg::Action(al));
+        }
+        for (v, token, request) in std::mem::take(&mut self.vm_requeue_queries) {
+            push(ChanId::VmToQs(v), Msg::Query(token, Box::new(request)));
+        }
+
+        // Released-but-uncommitted transactions go straight back to the
+        // committer; committed-but-unacked seqs get their ack re-delivered
+        // (else the scheduler's in-flight window never clears).
+        for ((g, _), txn) in &self.pending {
+            push(ChanId::MpToWh(*g), Msg::Txn(txn.clone()));
+        }
+        for (g, seq) in &self.unacked {
+            push(ChanId::WhToMp(*g), Msg::Committed(*seq));
+        }
+        channels
     }
 }
 
@@ -207,22 +273,19 @@ fn rebuild(
     records: &[WalRecord],
     base: u64,
 ) -> Result<RecoveredState, RecoveryError> {
-    // Mirror Sim::build's group layout (including the group cap).
-    let mut partitioning = registry.partitioning(config.partition);
-    if let Some(cap) = config.groups {
-        partitioning = partitioning.coarsen(cap);
-    }
-    let groups = partitioning.group_count().max(1);
-    let mut group_views: Vec<BTreeSet<ViewId>> = vec![BTreeSet::new(); groups];
-    for id in registry.ids() {
-        group_views[partitioning.group_of_view(id).unwrap_or(0)].insert(id);
-    }
+    let mut assembly = assemble(
+        registry,
+        config.partition,
+        config.groups,
+        config.algorithm,
+        config.commit_policy,
+        config.tuple_relevance,
+        config.record_snapshots,
+    )
+    .map_err(SimError::Vm)?;
+    let groups = assembly.mps.len();
 
-    let replayed_views: BTreeSet<ViewId> = registry
-        .iter()
-        .filter(|e| e.kind.needs_delivery_replay())
-        .map(|e| e.id)
-        .collect();
+    let replayed_views = registry.delivery_replay_views();
     if base > 0 {
         if let Some(&view) = replayed_views.iter().next() {
             return Err(RecoveryError::CompactedDeliveryLog { view });
@@ -231,15 +294,9 @@ fn rebuild(
 
     // Routing bookkeeping, install watermarks, in-flight transactions and
     // replay anchors — seeded from the newest checkpoint when one exists.
-    let mut integrator = Integrator::new(
-        registry.clone(),
-        partitioning.clone(),
-        config.tuple_relevance,
-    );
     let mut route_lists: Vec<Vec<(UpdateId, NumberedUpdate, BTreeSet<ViewId>)>> =
         vec![Vec::new(); groups];
     let mut group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>> = vec![BTreeMap::new(); groups];
-    let mut routed = BTreeSet::new();
     let mut installed_rel = vec![UpdateId::ZERO; groups];
     let mut installed_al: BTreeMap<ViewId, UpdateId> = BTreeMap::new();
     let mut pending: BTreeMap<(usize, TxnSeq), StoreTxn> = BTreeMap::new();
@@ -250,97 +307,75 @@ fn rebuild(
     let mut routing_anchor = 0u64;
 
     // Engines, warehouse and commit log start from the newest checkpoint,
-    // or fresh if the log holds none.
+    // or fresh (as assembled) if the log holds none.
+    let mut commit_log: Vec<CommitLogEntry> = Vec::new();
     let ck_idx = records
         .iter()
         .rposition(|r| matches!(r, WalRecord::Checkpoint(_)));
-    let (mut mps, mut warehouse, mut commit_log) = match ck_idx {
-        Some(c) => {
-            let WalRecord::Checkpoint(ck) = &records[c] else {
-                unreachable!("rposition matched a checkpoint")
+    if let Some(c) = ck_idx {
+        let WalRecord::Checkpoint(ck) = &records[c] else {
+            unreachable!("rposition matched a checkpoint")
+        };
+        assembly.mps = ck
+            .merges
+            .iter()
+            .cloned()
+            .map(MergeProcess::from_snapshot)
+            .collect();
+        assembly.warehouse = Warehouse::restore(ck.warehouse.clone());
+        commit_log = ck
+            .commit_log
+            .iter()
+            .map(|r| CommitLogEntry {
+                group: r.group as usize,
+                seq: r.seq,
+                rows: r.rows.clone(),
+                views: r.views.clone(),
+            })
+            .collect();
+        // The checkpoint is self-contained: restore the routing
+        // history, watermarks, in-flight transactions and counters
+        // outright; the scan below replays only past the anchors.
+        assembly
+            .integrator
+            .restore_counters(ck.next_id.clone(), ck.received, ck.dropped);
+        for r in &ck.route_lists {
+            let g = (r.group as usize).min(groups - 1);
+            let numbered = NumberedUpdate {
+                id: r.id,
+                update: Arc::clone(&r.update),
             };
-            let mps: Vec<MergeProcess<Delta>> = ck
-                .merges
-                .iter()
-                .cloned()
-                .map(MergeProcess::from_snapshot)
-                .collect();
-            let warehouse = Warehouse::restore(ck.warehouse.clone());
-            let commit_log: Vec<CommitLogEntry> = ck
-                .commit_log
-                .iter()
-                .map(|r| CommitLogEntry {
-                    group: r.group as usize,
-                    seq: r.seq,
-                    rows: r.rows.clone(),
-                    views: r.views.clone(),
-                })
-                .collect();
-            // The checkpoint is self-contained: restore the routing
-            // history, watermarks, in-flight transactions and counters
-            // outright; the scan below replays only past the anchors.
-            integrator.restore_counters(ck.next_id.clone(), ck.received, ck.dropped);
-            for r in &ck.route_lists {
-                let g = (r.group as usize).min(groups - 1);
-                let numbered = NumberedUpdate {
-                    id: r.id,
-                    update: Arc::clone(&r.update),
-                };
-                routed.insert(numbered.seq());
-                group_updates[g].insert(r.id, numbered.seq());
-                route_lists[g].push((r.id, numbered, r.rel.clone()));
-            }
-            for (g, w) in ck.installed_rel.iter().enumerate().take(groups) {
-                installed_rel[g] = *w;
-            }
-            for &(v, w) in &ck.installed_al {
-                installed_al.insert(v, w);
-            }
-            for (g, txn) in &ck.pending {
-                pending.insert((*g as usize, txn.seq), txn.clone());
-            }
-            for &(g, seq) in &ck.unacked {
-                unacked_set.insert((g as usize, seq));
-            }
-            for e in &commit_log {
-                committed.insert((e.group, e.seq));
-            }
-            last_logged_src = ck.last_logged_src;
-            for (g, a) in ck.merge_anchors.iter().enumerate().take(groups) {
-                merge_anchors[g] = *a;
-            }
-            routing_anchor = ck.routing_anchor;
-            (mps, warehouse, commit_log)
+            group_updates[g].insert(r.id, numbered.seq());
+            route_lists[g].push((r.id, numbered, r.rel.clone()));
         }
-        None => {
-            let mut mps = Vec::with_capacity(groups);
-            for views in group_views.iter() {
-                let levels: Vec<(ViewId, ConsistencyLevel)> = registry
-                    .levels()
-                    .into_iter()
-                    .filter(|(v, _)| views.contains(v))
-                    .collect();
-                mps.push(match config.algorithm {
-                    Some(alg) => {
-                        MergeProcess::new(alg, levels.iter().map(|(v, _)| *v), config.commit_policy)
-                    }
-                    None => MergeProcess::for_managers(levels, config.commit_policy),
-                });
-            }
-            let mut warehouse = Warehouse::new(config.record_snapshots);
-            for e in registry.iter() {
-                warehouse
-                    .register_view(
-                        e.id,
-                        e.def.name.clone(),
-                        mvc_relational::Relation::shared(e.def.schema.clone()),
-                    )
-                    .expect("fresh warehouse");
-            }
-            (mps, warehouse, Vec::new())
+        for (g, w) in ck.installed_rel.iter().enumerate().take(groups) {
+            installed_rel[g] = *w;
         }
-    };
-    let guarantees: Vec<ConsistencyLevel> = mps.iter().map(MergeProcess::guarantees).collect();
+        for &(v, w) in &ck.installed_al {
+            installed_al.insert(v, w);
+        }
+        for (g, txn) in &ck.pending {
+            pending.insert((*g as usize, txn.seq), txn.clone());
+        }
+        for &(g, seq) in &ck.unacked {
+            unacked_set.insert((g as usize, seq));
+        }
+        for e in &commit_log {
+            committed.insert((e.group, e.seq));
+        }
+        last_logged_src = ck.last_logged_src;
+        for (g, a) in ck.merge_anchors.iter().enumerate().take(groups) {
+            merge_anchors[g] = *a;
+        }
+        routing_anchor = ck.routing_anchor;
+    }
+    let Assembly {
+        integrator,
+        mps,
+        warehouse,
+        vms,
+        ..
+    } = &mut assembly;
 
     // Delivery sequences for replay-class views, gathered over the scan.
     let mut replay: BTreeMap<ViewId, Vec<ReplayEvent>> = BTreeMap::new();
@@ -358,7 +393,6 @@ fn rebuild(
                     // to re-number it; recovery is off the hot path by
                     // definition
                     for r in integrator.route(u.clone()) {
-                        routed.insert(r.numbered.seq());
                         group_updates[r.group].insert(r.numbered.id, r.numbered.seq());
                         route_lists[r.group].push((r.numbered.id, r.numbered, r.rel));
                     }
@@ -449,12 +483,11 @@ fn rebuild(
     // delivery sequence from genesis, re-collecting whatever they emit
     // that the crashed run still had in flight.
     let zero = UpdateId::ZERO;
-    let mut vms: BTreeMap<ViewId, Box<dyn ViewManager>> = BTreeMap::new();
     let mut vm_requeue_actions: Vec<(ViewId, ActionListDelta)> = Vec::new();
     let mut vm_requeue_queries: Vec<(ViewId, QueryToken, QueryRequest)> = Vec::new();
     for e in registry.iter() {
-        let g = partitioning.group_of_view(e.id).unwrap_or(0);
-        let mut vm = e.kind.build(e.id, e.def.clone()).map_err(SimError::Vm)?;
+        let g = integrator.partitioning().group_of_view(e.id).unwrap_or(0);
+        let vm = vms.get_mut(&e.id).expect("assembled from this registry");
         let watermark = installed_al.get(&e.id).copied().unwrap_or(zero);
         if replayed_views.contains(&e.id) {
             let by_id: BTreeMap<UpdateId, usize> = route_lists[g]
@@ -505,20 +538,13 @@ fn rebuild(
                 .expect("AL watermark maps to a routed update");
             vm.initialize(&cluster.as_of(cut)).map_err(SimError::from)?;
         }
-        vms.insert(e.id, vm);
     }
 
     let unacked: Vec<(usize, TxnSeq)> = unacked_set.into_iter().collect();
     Ok(RecoveredState {
-        integrator,
-        warehouse,
-        mps,
-        vms,
-        guarantees,
-        group_views,
+        assembly,
         commit_log,
         group_updates,
-        routed,
         route_lists,
         installed_rel,
         installed_al,

@@ -129,6 +129,16 @@ impl ViewRegistry {
         self.entries.is_empty()
     }
 
+    /// Views whose manager kind recovers by delivery replay (see
+    /// [`ManagerKind::needs_delivery_replay`]).
+    pub fn delivery_replay_views(&self) -> BTreeSet<ViewId> {
+        self.entries
+            .values()
+            .filter(|e| e.kind.needs_delivery_replay())
+            .map(|e| e.id)
+            .collect()
+    }
+
     /// Consistency levels of all managers (for §6.3 algorithm selection).
     pub fn levels(&self) -> Vec<(ViewId, ConsistencyLevel)> {
         self.entries

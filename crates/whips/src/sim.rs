@@ -1,24 +1,33 @@
 //! Deterministic event simulator of the Figure 1 architecture.
 //!
-//! Every process (integrator, view managers, query server, merge
-//! processes, warehouse committer) is a state machine; every arrow in
-//! Figure 1 is a FIFO channel. A seeded scheduler repeatedly picks one
-//! enabled action — inject the next workload transaction at the sources,
-//! or deliver the head message of one channel — so a single `u64` seed
-//! fixes the entire interleaving. Per-channel FIFO is the *only* ordering
-//! guarantee, exactly the paper's assumption ("messages from the same
-//! process must arrive in the order sent"); everything else is fair game,
-//! which is how the simulator manufactures intertwined updates, late
-//! query answers, and out-of-order AL arrivals that the painting
-//! algorithms must survive.
+//! The graph itself — every process (integrator, view managers, query
+//! server, merge processes, warehouse committer) a state machine, every
+//! arrow a FIFO channel — is [`crate::machine::Machine`]. This module is
+//! its seeded scheduler: it repeatedly picks one enabled action — inject
+//! the next workload transaction at the sources, deliver the head
+//! message of one channel, or let a reader session read — so a single
+//! `u64` seed fixes the entire interleaving. Per-channel FIFO is the
+//! *only* ordering guarantee, exactly the paper's assumption ("messages
+//! from the same process must arrive in the order sent"); everything
+//! else is fair game, which is how the simulator manufactures
+//! intertwined updates, late query answers, and out-of-order AL arrivals
+//! that the painting algorithms must survive.
 //!
 //! Simulated time is the step counter: one delivered message (or one
-//! injected transaction) per step.
+//! injected transaction) per step. Everything measured in that unit, the
+//! MVCC read path, the sharded twin plane, checkpoints and §1.2 dynamic
+//! view installs are this driver's additions to the machine's
+//! transitions (`SimDriver`).
 
-use crate::integrator::Integrator;
+#![deny(clippy::too_many_lines)]
+
+use crate::integrator::GroupRouting;
+use crate::machine::{
+    assemble, shard_stores, ChanId, Choice, Driver, Event, Machine, Msg, SOURCE_CHECKPOINT_INTERVAL,
+};
 use crate::metrics::SimMetrics;
 use crate::obs::PipelineObs;
-use crate::registry::{ManagerKind, ViewRegistry};
+use crate::registry::{ManagerKind, ViewEntry, ViewRegistry};
 use crate::shard::{
     remap_observations, ReadFrontier, ShardPlane, ShardReport, ShardTopology, ShardWatermarks,
 };
@@ -27,15 +36,12 @@ use mvc_core::{
     MergeStats, Partitioning, TxnSeq, UpdateId, ViewId,
 };
 use mvc_durability::{
-    CheckpointState, CommitRecord, DurabilityConfig, RoutedUpdate, WalError, WalRecord, WalWriter,
+    CheckpointState, CommitRecord, DurabilityConfig, RoutedUpdate, WalError, WalRecord,
 };
 use mvc_readpath::{ReadObservation, ReadSession, VersionedCuts};
 use mvc_relational::{Delta, EvalError, RelationName, Schema, ViewDef};
 use mvc_source::{GlobalSeq, SourceCluster, SourceError, SourceId, SourceUpdate, WriteOp};
-use mvc_viewmgr::{
-    answer_query, ActionListDelta, QueryAnswer, QueryRequest, QueryToken, ViewManager, VmError,
-    VmEvent, VmOutput,
-};
+use mvc_viewmgr::VmError;
 use mvc_warehouse::{StoreTxn, Warehouse, WarehouseError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,6 +166,9 @@ pub enum SimError {
     Wal(WalError),
     /// Configuration rejected in the requested mode.
     Unsupported(String),
+    /// A scheduler stepped a choice that is not enabled: the workload
+    /// (for an inject) or the named channel (for a delivery) is empty.
+    NotEnabled(Choice),
 }
 
 impl fmt::Display for SimError {
@@ -185,6 +194,7 @@ impl fmt::Display for SimError {
             SimError::StepLimit(n) => write!(f, "step limit {n} exceeded"),
             SimError::Wal(e) => write!(f, "wal error: {e}"),
             SimError::Unsupported(why) => write!(f, "unsupported configuration: {why}"),
+            SimError::NotEnabled(choice) => write!(f, "choice {choice} is not enabled"),
         }
     }
 }
@@ -222,83 +232,6 @@ impl From<WalError> for SimError {
     }
 }
 
-/// What the driver does next.
-enum DriverAction {
-    Txn(WorkloadTxn),
-    Install(Box<InstallSpec>),
-}
-
-/// Messages on the Figure 1 arrows.
-#[derive(Debug, Clone)]
-enum Msg {
-    /// sources → integrator: a committed transaction's report. The
-    /// payload is shared zero-copy with the WAL and every routed view.
-    SrcUpdate(Arc<SourceUpdate>),
-    /// driver → integrator: §1.2 dynamic view installation.
-    InstallView(ViewId),
-    /// integrator → merge process: grow the VUT by one column before the
-    /// install row's REL arrives (same FIFO, so ordering is guaranteed).
-    AddView(ViewId),
-    /// integrator → view manager.
-    Update(mvc_viewmgr::NumberedUpdate),
-    /// integrator → merge process.
-    Rel(UpdateId, BTreeSet<ViewId>),
-    /// view manager → merge process.
-    Action(ActionListDelta),
-    /// view manager → query server.
-    Query(QueryToken, QueryRequest),
-    /// query server → view manager.
-    Answer(QueryToken, QueryAnswer),
-    /// merge process → warehouse committer.
-    Txn(StoreTxn),
-    /// warehouse committer → merge process.
-    Committed(TxnSeq),
-    /// query server → integrator → view manager. Answers ride the same
-    /// source→integrator→VM pipeline as updates (the WHIPS topology), so
-    /// per-source FIFO guarantees an answer computed at state `s` arrives
-    /// *after* every update ≤ `s` — the ordering Strobe's compensation
-    /// relies on.
-    AnswerFor(ViewId, QueryToken, QueryAnswer),
-    /// drain phase → view manager.
-    Flush,
-}
-
-/// Channel identifiers (each is an independent FIFO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Chan {
-    SrcToInt,
-    IntToVm(ViewId),
-    IntToMp(usize),
-    VmToMp(ViewId),
-    VmToQs(ViewId),
-    MpToWh(usize),
-    WhToMp(usize),
-}
-
-impl Chan {
-    /// Channel class for the queue-depth gauges (instances of one arrow
-    /// kind share a gauge).
-    fn class(self) -> &'static str {
-        match self {
-            Chan::SrcToInt => "src_to_int",
-            Chan::IntToVm(_) => "int_to_vm",
-            Chan::IntToMp(_) => "int_to_mp",
-            Chan::VmToMp(_) => "vm_to_mp",
-            Chan::VmToQs(_) => "vm_to_qs",
-            Chan::MpToWh(_) => "mp_to_wh",
-            Chan::WhToMp(_) => "wh_to_mp",
-        }
-    }
-}
-
-/// A dynamically-installed view (§1.2).
-#[derive(Debug, Clone)]
-struct InstallSpec {
-    id: ViewId,
-    def: ViewDef,
-    kind: ManagerKind,
-}
-
 /// Builder for a simulation.
 ///
 /// ```
@@ -325,15 +258,15 @@ pub struct SimBuilder {
     cluster: SourceCluster,
     registry: ViewRegistry,
     workload: Vec<WorkloadTxn>,
-    /// Views installed mid-run: workload index → specs.
-    installs: BTreeMap<usize, Vec<InstallSpec>>,
+    /// Views installed mid-run: workload index → views.
+    installs: BTreeMap<usize, Vec<ViewEntry>>,
 }
 
 impl SimBuilder {
     pub fn new(config: SimConfig) -> Self {
         SimBuilder {
             config,
-            cluster: SourceCluster::new(32),
+            cluster: SourceCluster::new(SOURCE_CHECKPOINT_INTERVAL),
             registry: ViewRegistry::new(),
             workload: Vec::new(),
             installs: BTreeMap::new(),
@@ -396,7 +329,8 @@ impl SimBuilder {
 
     /// Install a view on the fly (§1.2: "our architecture also makes it
     /// easy to add and delete views on the fly"): the view joins the
-    /// system after `after_txn` workload transactions have been injected.
+    /// system after `after_txn` workload transactions have been injected
+    /// (at or past the end: after the last one).
     /// Installation is coordinated through the merge process — an install
     /// row relevant to every view gates the initial load behind all
     /// earlier updates, so MVC holds across the transition. Requires the
@@ -411,7 +345,7 @@ impl SimBuilder {
         self.installs
             .entry(after_txn)
             .or_default()
-            .push(InstallSpec { id, def, kind });
+            .push(ViewEntry { id, def, kind });
         self
     }
 
@@ -427,13 +361,10 @@ impl SimBuilder {
         let mut sim = Sim::build(self)?;
         match sim.run_inner() {
             Ok(()) => Ok(DurableOutcome::Completed(Box::new(sim.into_report()?))),
-            Err(SimError::Wal(WalError::CrashPoint)) => {
-                let injected = sim.metrics.injected as usize;
-                Ok(DurableOutcome::Crashed {
-                    cluster: sim.cluster,
-                    injected,
-                })
-            }
+            Err(SimError::Wal(WalError::CrashPoint)) => Ok(DurableOutcome::Crashed {
+                injected: sim.m.metrics.injected as usize,
+                cluster: sim.m.cluster,
+            }),
             Err(e) => Err(e),
         }
     }
@@ -515,21 +446,9 @@ pub struct CommitLogEntry {
 /// reconstruction the threaded runtime computes after the fact).
 struct ShardState {
     topology: ShardTopology,
-    /// Per-shard twin stores (only the shard's own views registered).
-    warehouses: Vec<Warehouse>,
-    /// Per-shard view sets, ascending (the shard readers' query set).
-    views: Vec<Vec<ViewId>>,
-    commit_logs: Vec<Vec<CommitLogEntry>>,
-    /// Per-shard versioned-cut stacks (shard-local watermarks).
-    cuts: Vec<VersionedCuts>,
+    twins: Vec<ShardTwin>,
     /// `sessions[reader][shard]`: one session per (reader, shard) pair.
     sessions: Vec<Vec<ReadSession>>,
-    /// Per-shard observations, in shard-local sessions/watermarks.
-    observations: Vec<Vec<ReadObservation>>,
-    initial_fingerprints: Vec<BTreeMap<ViewId, u64>>,
-    /// Per shard: local watermark `w` (index `w - 1`) → global
-    /// `commit_index`, recorded at commit time.
-    local_to_global: Vec<Vec<u64>>,
     /// The cross-shard watermark registers.
     watermarks: ShardWatermarks,
     /// Every frontier the readers snapshotted, in program order.
@@ -538,20 +457,111 @@ struct ShardState {
     reader_seq: Vec<u64>,
 }
 
-pub(crate) struct Sim {
-    config: SimConfig,
-    rng: StdRng,
-    cluster: SourceCluster,
-    integrator: Integrator,
-    vms: BTreeMap<ViewId, Box<dyn ViewManager>>,
-    mps: Vec<MergeProcess<Delta>>,
+/// One shard's twin commit plane.
+struct ShardTwin {
+    /// Twin store (only the shard's own views registered).
     warehouse: Warehouse,
-    /// Per channel: FIFO of (send step, message) — the send step drives
-    /// the queue-wait histograms.
-    channels: BTreeMap<Chan, VecDeque<(u64, Msg)>>,
-    workload: VecDeque<DriverAction>,
-    /// Pending install specs by view id (payload for `Msg::InstallView`).
-    install_specs: BTreeMap<ViewId, InstallSpec>,
+    /// The shard's view set, ascending (its readers' query set).
+    views: Vec<ViewId>,
+    commit_log: Vec<CommitLogEntry>,
+    /// Versioned-cut stack (shard-local watermarks).
+    cuts: VersionedCuts,
+    /// Observations, in shard-local sessions/watermarks.
+    observations: Vec<ReadObservation>,
+    initial_fingerprints: BTreeMap<ViewId, u64>,
+    /// Local watermark `w` (index `w - 1`) → global `commit_index`,
+    /// recorded at commit time.
+    local_to_global: Vec<u64>,
+}
+
+impl ShardState {
+    /// Twin stores per shard, each with its own versioned-cut stack, plus
+    /// one read session per (reader, shard) pair.
+    fn new(
+        registry: &ViewRegistry,
+        partitioning: &Partitioning<RelationName>,
+        topology: ShardTopology,
+        readers: usize,
+    ) -> Self {
+        let twins: Vec<ShardTwin> = shard_stores(registry, partitioning, &topology, false)
+            .into_iter()
+            .map(|warehouse| {
+                let views: Vec<ViewId> = warehouse.view_ids().collect();
+                let cuts = VersionedCuts::new();
+                cuts.seed(0, warehouse.read(&views));
+                ShardTwin {
+                    initial_fingerprints: warehouse.initial_fingerprints(),
+                    warehouse,
+                    views,
+                    commit_log: Vec::new(),
+                    cuts,
+                    observations: Vec::new(),
+                    local_to_global: Vec::new(),
+                }
+            })
+            .collect();
+        ShardState {
+            sessions: (0..readers)
+                .map(|_| twins.iter().map(|t| t.cuts.open_session()).collect())
+                .collect(),
+            watermarks: ShardWatermarks::new(twins.len()),
+            twins,
+            frontiers: Vec::new(),
+            reader_seq: vec![0; readers],
+            topology,
+        }
+    }
+
+    /// Emit the per-shard planes, and *also* remap every shard
+    /// observation into global sessions/watermarks (appended to
+    /// `global_observations`) so the ordinary single-store read
+    /// certification covers them against the global history (the remap
+    /// is exact — `local_to_global` was recorded at commit time).
+    fn into_plane(self, global_observations: &mut Vec<ReadObservation>) -> ShardPlane {
+        let shards = self.twins.into_iter().enumerate().map(|(s, t)| {
+            global_observations.extend(remap_observations(s, &t.observations, &t.local_to_global));
+            ShardReport {
+                commit_log: t.commit_log,
+                history: t.warehouse.history().to_vec(),
+                initial_fingerprints: t.initial_fingerprints,
+                read_observations: t.observations,
+                local_to_global: t.local_to_global,
+                commits: t.warehouse.commit_count(),
+            }
+        });
+        ShardPlane {
+            shards: shards.collect(),
+            assignment: self.topology.assignment().to_vec(),
+            frontiers: self.frontiers,
+        }
+    }
+}
+
+/// Channel class for the queue-depth gauges (instances of one arrow kind
+/// share a gauge).
+fn class(chan: ChanId) -> &'static str {
+    match chan {
+        ChanId::SrcToInt => "src_to_int",
+        ChanId::IntToVm(_) => "int_to_vm",
+        ChanId::IntToMp(_) => "int_to_mp",
+        ChanId::VmToMp(_) => "vm_to_mp",
+        ChanId::VmToQs(_) => "vm_to_qs",
+        ChanId::MpToWh(_) => "mp_to_wh",
+        ChanId::WhToMp(_) => "wh_to_mp",
+    }
+}
+
+/// What the simulator adds to the machine's transitions: virtual-time
+/// (step-unit) bookkeeping, the MVCC read path and its shard twin, the
+/// durable run's audit trail (paint and checkpoint records), and §1.2
+/// view installation.
+pub(crate) struct SimDriver {
+    /// Per channel: the send step of every queued message, parallel to
+    /// the machine's FIFO — drives the queue-wait histograms.
+    stamps: BTreeMap<ChanId, VecDeque<u64>>,
+    /// Views still to install, ascending by the number of workload
+    /// transactions that must have been injected first.
+    installs: VecDeque<(usize, ViewEntry)>,
     /// Install rows: update id → (installed view, initial-load cut seq).
     install_rows: BTreeMap<UpdateId, (ViewId, GlobalSeq)>,
     /// View activations: view → (commit index, initial-load cut seq).
@@ -559,9 +569,6 @@ pub(crate) struct Sim {
     /// Seq of the last source update processed by the integrator
     /// (routed or dropped) — the initial-load cut for installs.
     last_processed_seq: GlobalSeq,
-    /// Chaos: (group, txn) buffered for reversed commit.
-    reorder_buf: Vec<(usize, StoreTxn)>,
-    metrics: SimMetrics,
     /// Per-stage pipeline observability (virtual-step unit).
     obs: PipelineObs,
     /// Update arrival step at each VM, keyed (view, update) — drives the
@@ -571,22 +578,14 @@ pub(crate) struct Sim {
     /// AL arrival step at each merge process, keyed (group, view,
     /// `AL.last`) — drives the `merge_hold` stage.
     al_recv: BTreeMap<(usize, ViewId, UpdateId), u64>,
-    /// Per group: local id → (global seq, inject step).
-    group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>>,
     inject_steps: BTreeMap<GlobalSeq, u64>,
     /// Per group: rows not yet covered by a commit → used for latency.
-    uncovered: Vec<BTreeMap<UpdateId, ()>>,
+    uncovered: Vec<BTreeSet<UpdateId>>,
     /// Per group: release step per txn seq.
     release_steps: Vec<BTreeMap<TxnSeq, u64>>,
-    guarantees: Vec<ConsistencyLevel>,
-    group_views: Vec<BTreeSet<ViewId>>,
-    commit_log: Vec<CommitLogEntry>,
-    routed: BTreeSet<GlobalSeq>,
     /// Injected but not yet fully covered (None until routed; the count
     /// is the number of groups still holding uncovered rows).
     open_updates: BTreeMap<GlobalSeq, Option<usize>>,
-    /// Write-ahead log (durable mode only).
-    wal: Option<WalWriter>,
     /// Commits since the last checkpoint record.
     commits_since_checkpoint: u64,
     /// Checkpoint cadence from the durability config (0 = never).
@@ -598,10 +597,6 @@ pub(crate) struct Sim {
     installed_rel: Vec<UpdateId>,
     /// Durable mode: per-view highest `AL.last` delivered to the engine.
     installed_al: BTreeMap<ViewId, UpdateId>,
-    /// Views whose manager kind needs delivery-replay recovery: every
-    /// event delivered to them is logged as a `Vm*Delivered` record (and
-    /// WAL compaction is disabled — replay starts at genesis).
-    snapshot_logged: BTreeSet<ViewId>,
     /// MVCC version store: every commit publishes its changed views here.
     cuts: VersionedCuts,
     /// Reader workload sessions (scheduler participants).
@@ -616,247 +611,185 @@ pub(crate) struct Sim {
     shard_state: Option<ShardState>,
 }
 
-impl Sim {
-    fn build(b: SimBuilder) -> Result<Self, SimError> {
-        let mut partitioning = b.registry.partitioning(b.config.partition);
-        if let Some(cap) = b.config.groups {
-            partitioning = partitioning.coarsen(cap);
-        }
-        let groups = partitioning.group_count().max(1);
-        let mut group_views: Vec<BTreeSet<ViewId>> = vec![BTreeSet::new(); groups];
-        for id in b.registry.ids() {
-            let g = partitioning.group_of_view(id).unwrap_or(0);
-            group_views[g].insert(id);
-        }
-
-        // Build merge processes (per group).
-        let mut mps = Vec::with_capacity(groups);
-        let mut guarantees = Vec::with_capacity(groups);
-        for views in group_views.iter() {
-            let levels: Vec<(ViewId, ConsistencyLevel)> = b
-                .registry
-                .levels()
-                .into_iter()
-                .filter(|(v, _)| views.contains(v))
-                .collect();
-            let mp = match b.config.algorithm {
-                Some(alg) => {
-                    MergeProcess::new(alg, levels.iter().map(|(v, _)| *v), b.config.commit_policy)
-                }
-                None => MergeProcess::for_managers(levels, b.config.commit_policy),
-            };
-            guarantees.push(mp.guarantees());
-            mps.push(mp);
-        }
-
-        // Build view managers and register warehouse views (initially
-        // empty — the workload drives everything from ss_0).
-        let mut vms: BTreeMap<ViewId, Box<dyn ViewManager>> = BTreeMap::new();
-        let mut warehouse = Warehouse::new(b.config.record_snapshots);
-        for e in b.registry.iter() {
-            vms.insert(e.id, e.kind.build(e.id, e.def.clone())?);
-            warehouse
-                .register_view(
-                    e.id,
-                    e.def.name.clone(),
-                    mvc_relational::Relation::shared(e.def.schema.clone()),
-                )
-                .expect("fresh warehouse");
-        }
-
-        let integrator = Integrator::new(
-            b.registry.clone(),
-            partitioning.clone(),
-            b.config.tuple_relevance,
-        );
-
-        // Splice dynamic installs into the driver stream at their
-        // workload positions; installs at or past the end join after the
-        // last transaction.
-        let workload_len = b.workload.len();
-        let mut driver: VecDeque<DriverAction> = VecDeque::new();
-        let mut install_specs = BTreeMap::new();
-        for (i, t) in b.workload.into_iter().enumerate() {
-            if let Some(specs) = b.installs.get(&i) {
-                for spec in specs {
-                    install_specs.insert(spec.id, spec.clone());
-                    driver.push_back(DriverAction::Install(Box::new(spec.clone())));
-                }
-            }
-            driver.push_back(DriverAction::Txn(t));
-        }
-        for (_, specs) in b.installs.range(workload_len..) {
-            for spec in specs {
-                install_specs.insert(spec.id, spec.clone());
-                driver.push_back(DriverAction::Install(Box::new(spec.clone())));
-            }
-        }
-
-        // MVCC read path: seed the version store with the initial view
-        // contents at watermark 0 and open the configured reader
-        // sessions. The initial fingerprints anchor watermark-0 cuts
-        // during certification.
-        let initial_fingerprints = warehouse.initial_fingerprints();
+impl SimDriver {
+    /// A driver for a machine about to start from `warehouse`: seeds the
+    /// MVCC version store with the view contents at the warehouse's
+    /// commit watermark and opens the reader sessions. Sessions observe
+    /// cuts from there forward only, so the pre-any-commit fingerprints
+    /// (which anchor watermark-0 cuts during certification) exist only
+    /// when nothing has committed yet.
+    fn new(groups: usize, readers: usize, warehouse: &Warehouse) -> Self {
+        let base = warehouse.commit_count();
         let reader_views: Vec<ViewId> = warehouse.view_ids().collect();
         let cuts = VersionedCuts::new();
-        cuts.seed(0, warehouse.read(&reader_views));
-        let reader_sessions: Vec<ReadSession> =
-            (0..b.config.readers).map(|_| cuts.open_session()).collect();
-
-        // Sharded commit plane: twin stores per shard, each with its own
-        // versioned-cut stack, plus one read session per (reader, shard)
-        // pair. Sharded runs stay in-memory (per-shard WAL streams live
-        // in the threaded runtime) and reject dynamic installs (a twin
-        // created at build time would never learn the new view).
-        let topology = ShardTopology::new(groups, b.config.shards);
-        let shard_state = if topology.shards() > 1 {
-            if b.config.durability.is_some() {
-                return Err(SimError::Unsupported(
-                    "sharded sim runs are in-memory only".into(),
-                ));
-            }
-            if !b.installs.is_empty() {
-                return Err(SimError::Unsupported(
-                    "dynamic view installs are not supported in sharded mode".into(),
-                ));
-            }
-            let shards = topology.shards();
-            let mut warehouses: Vec<Warehouse> =
-                (0..shards).map(|_| Warehouse::new(false)).collect();
-            let mut views: Vec<Vec<ViewId>> = vec![Vec::new(); shards];
-            for e in b.registry.iter() {
-                let g = partitioning.group_of_view(e.id).unwrap_or(0);
-                let s = topology.shard_of(g);
-                warehouses[s]
-                    .register_view(
-                        e.id,
-                        e.def.name.clone(),
-                        mvc_relational::Relation::shared(e.def.schema.clone()),
-                    )
-                    .expect("fresh shard warehouse");
-                views[s].push(e.id);
-            }
-            let shard_initial = warehouses
-                .iter()
-                .map(Warehouse::initial_fingerprints)
-                .collect();
-            let shard_cuts: Vec<VersionedCuts> =
-                (0..shards).map(|_| VersionedCuts::new()).collect();
-            for (s, c) in shard_cuts.iter().enumerate() {
-                c.seed(0, warehouses[s].read(&views[s]));
-            }
-            let sessions = (0..b.config.readers)
-                .map(|_| shard_cuts.iter().map(VersionedCuts::open_session).collect())
-                .collect();
-            Some(ShardState {
-                warehouses,
-                views,
-                commit_logs: vec![Vec::new(); shards],
-                cuts: shard_cuts,
-                sessions,
-                observations: vec![Vec::new(); shards],
-                initial_fingerprints: shard_initial,
-                local_to_global: vec![Vec::new(); shards],
-                watermarks: ShardWatermarks::new(shards),
-                frontiers: Vec::new(),
-                reader_seq: vec![0; b.config.readers],
-                topology,
-            })
-        } else {
-            None
-        };
-
-        let mut wal = None;
-        let mut checkpoint_every = 0;
-        let mut snapshot_logged = BTreeSet::new();
-        if let Some(d) = &b.config.durability {
-            if !b.installs.is_empty() {
-                return Err(SimError::Unsupported(
-                    "dynamic view installs are not supported in durable mode".into(),
-                ));
-            }
-            let mut w = WalWriter::create(d)?;
-            // Delivery-replay kinds (Strobe/Convergent) need the full
-            // event history from genesis, so their presence pins every
-            // segment: compaction off, delivery logging on.
-            for e in b.registry.iter() {
-                if e.kind.needs_delivery_replay() {
-                    snapshot_logged.insert(e.id);
-                }
-            }
-            if !snapshot_logged.is_empty() {
-                w.set_compaction(false);
-            }
-            wal = Some(w);
-            checkpoint_every = d.checkpoint_every;
-            for mp in &mut mps {
-                mp.enable_paint_events();
-            }
-        }
-
-        Ok(Sim {
-            rng: StdRng::seed_from_u64(b.config.seed),
-            cluster: b.cluster,
-            integrator,
-            vms,
-            mps,
-            warehouse,
-            channels: BTreeMap::new(),
-            workload: driver,
-            reorder_buf: Vec::new(),
-            metrics: SimMetrics {
-                group_busy_steps: vec![0; groups],
-                ..SimMetrics::default()
-            },
-            obs: PipelineObs::new("steps"),
-            vm_pending: BTreeMap::new(),
-            al_recv: BTreeMap::new(),
-            group_updates: vec![BTreeMap::new(); groups],
-            inject_steps: BTreeMap::new(),
-            uncovered: vec![BTreeMap::new(); groups],
-            release_steps: vec![BTreeMap::new(); groups],
-            guarantees,
-            group_views,
-            commit_log: Vec::new(),
-            routed: BTreeSet::new(),
-            open_updates: BTreeMap::new(),
-            install_specs,
+        cuts.seed(base, warehouse.read(&reader_views));
+        SimDriver {
+            stamps: BTreeMap::new(),
+            installs: VecDeque::new(),
             install_rows: BTreeMap::new(),
             activations: BTreeMap::new(),
             last_processed_seq: GlobalSeq::INITIAL,
-            wal,
+            obs: PipelineObs::new("steps"),
+            vm_pending: BTreeMap::new(),
+            al_recv: BTreeMap::new(),
+            inject_steps: BTreeMap::new(),
+            uncovered: vec![BTreeSet::new(); groups],
+            release_steps: vec![BTreeMap::new(); groups],
+            open_updates: BTreeMap::new(),
             commits_since_checkpoint: 0,
-            checkpoint_every,
+            checkpoint_every: 0,
             durable_routes: Vec::new(),
             installed_rel: vec![UpdateId::ZERO; groups],
             installed_al: BTreeMap::new(),
-            snapshot_logged,
+            reader_sessions: (0..readers).map(|_| cuts.open_session()).collect(),
             cuts,
-            reader_sessions,
             reader_views,
             read_observations: Vec::new(),
-            initial_fingerprints,
-            shard_state,
-            config: b.config,
-        })
+            initial_fingerprints: if base == 0 {
+                warehouse.initial_fingerprints()
+            } else {
+                BTreeMap::new()
+            },
+            shard_state: None,
+        }
     }
+}
 
-    /// Append one WAL record (no-op without durability). An injected
-    /// crash point surfaces as `SimError::Wal(WalError::CrashPoint)`.
-    fn log(&mut self, rec: &WalRecord) -> Result<(), SimError> {
-        if let Some(w) = self.wal.as_mut() {
-            w.append(rec)?;
+impl Driver for SimDriver {
+    fn on(m: &mut Machine<Self>, event: Event<'_>) -> Result<(), SimError> {
+        let step = m.metrics.steps;
+        let d = &mut m.driver;
+        match event {
+            Event::Sent(chan, depth) => {
+                d.stamps.entry(chan).or_default().push_back(step);
+                d.obs.note_depth(class(chan), depth as u64);
+            }
+            Event::Delivering(chan) => m.note_delivery(chan),
+            Event::Injected(seq) => {
+                d.inject_steps.insert(seq, step);
+                d.open_updates.insert(seq, None);
+            }
+            Event::Routed(seq, routings) => m.note_routing(seq, routings),
+            Event::VmUpdate(v, id) => {
+                d.vm_pending.insert((v, id), step);
+            }
+            Event::VmAction(v, first, last) => {
+                // vm_compute: earliest covered update's arrival at the
+                // VM → this AL's emission (batched ALs span a range).
+                let covered: Vec<(ViewId, UpdateId)> = d
+                    .vm_pending
+                    .range((v, first)..=(v, last))
+                    .map(|(&k, _)| k)
+                    .collect();
+                let earliest = covered.iter().filter_map(|k| d.vm_pending.remove(k)).min();
+                if let Some(arrived) = earliest {
+                    d.obs.vm_compute.record(step.saturating_sub(arrived));
+                }
+            }
+            Event::RelInstalled(g, id) => {
+                if m.wal.is_some() {
+                    d.installed_rel[g] = d.installed_rel[g].max(id);
+                }
+                return m.after_merge(g);
+            }
+            Event::ActionInstalled(g, view, last) => {
+                d.al_recv.insert((g, view, last), step);
+                if m.wal.is_some() {
+                    let w = d.installed_al.entry(view).or_insert(UpdateId::ZERO);
+                    *w = (*w).max(last);
+                }
+                return m.after_merge(g);
+            }
+            Event::Released(g, t) => {
+                for a in &t.actions {
+                    if let Some(rcv) = d.al_recv.remove(&(g, a.view, a.last)) {
+                        d.obs.merge_hold.record(step.saturating_sub(rcv));
+                    }
+                }
+                d.release_steps[g].insert(t.seq, step);
+            }
+            Event::Committed(g, txn) => return m.note_commit(g, txn),
+            Event::Install(entry) => return m.install_view(entry),
         }
         Ok(())
     }
+}
 
-    /// Drain paint transitions out of group `g`'s engine into the audit
+/// The simulator's halves of the transitions (see [`SimDriver`]).
+impl Machine<SimDriver> {
+    /// The driver still has transactions or view installs to inject.
+    fn more_to_inject(&self) -> bool {
+        !self.workload.is_empty() || !self.driver.installs.is_empty()
+    }
+
+    fn note_delivery(&mut self, chan: ChanId) {
+        // Emulated-parallel accounting: deliveries handled by a merge
+        // group's plane (its views' VM compute, merge, commit, ack) are
+        // charged to that group. Groups are independent (§6.1), so
+        // `max(group_busy_steps)` is the plane's parallel makespan even
+        // though this serial scheduler runs them one at a time.
+        let busy_group = match chan {
+            ChanId::IntToMp(g) | ChanId::MpToWh(g) | ChanId::WhToMp(g) => Some(g),
+            ChanId::IntToVm(v) | ChanId::VmToMp(v) | ChanId::VmToQs(v) => {
+                self.parts.integrator.partitioning().group_of_view(v)
+            }
+            ChanId::SrcToInt => None,
+        };
+        if let Some(b) = busy_group.and_then(|g| self.metrics.group_busy_steps.get_mut(g)) {
+            *b += 1;
+        }
+        let sent = self
+            .driver
+            .stamps
+            .get_mut(&chan)
+            .and_then(VecDeque::pop_front)
+            .expect("every queued message was stamped");
+        let wait = self.metrics.steps.saturating_sub(sent);
+        match chan {
+            ChanId::SrcToInt => self.driver.obs.src_to_int_wait.record(wait),
+            // Fan-out arrows from the integrator: routing latency in
+            // virtual time is the queue wait until the recipient runs.
+            ChanId::IntToVm(_) | ChanId::IntToMp(_) => self.driver.obs.int_routing.record(wait),
+            _ => {}
+        }
+    }
+
+    fn note_routing(&mut self, seq: GlobalSeq, routings: &[GroupRouting]) {
+        let d = &mut self.driver;
+        d.last_processed_seq = seq;
+        if routings.is_empty() {
+            // irrelevant everywhere: closes immediately
+            d.open_updates.remove(&seq);
+        } else {
+            d.open_updates.insert(seq, Some(routings.len()));
+        }
+        for r in routings {
+            d.uncovered[r.group].insert(r.numbered.id);
+            if self.wal.is_some() {
+                // Mirror of the WAL's routing stream, kept so the
+                // next checkpoint is self-contained (shares the
+                // payload Arc — no tuple copies).
+                d.durable_routes.push(RoutedUpdate {
+                    group: r.group as u64,
+                    id: r.numbered.id,
+                    update: Arc::clone(&r.numbered.update),
+                    rel: r.rel.clone(),
+                });
+            }
+        }
+    }
+
+    /// After group `g`'s engine consumed a REL or an AL: sample the VUT,
+    /// and drain the paint transitions out of the engine into the audit
     /// trail (recovery never replays these).
-    fn log_paints(&mut self, g: usize) -> Result<(), SimError> {
+    fn after_merge(&mut self, g: usize) -> Result<(), SimError> {
+        let rows = self.parts.mps[g].live_rows() as u64;
+        self.metrics.vut_occupancy.record(rows);
+        self.driver.obs.vut_occupancy.record(rows);
         if self.wal.is_none() {
             return Ok(());
         }
-        for e in self.mps[g].take_paint_events() {
+        for e in self.parts.mps[g].take_paint_events() {
             self.log(&WalRecord::Paint {
                 group: g as u64,
                 update: e.update,
@@ -868,17 +801,294 @@ impl Sim {
         Ok(())
     }
 
-    fn send(&mut self, chan: Chan, msg: Msg) {
-        let q = self.channels.entry(chan).or_default();
-        q.push_back((self.metrics.steps, msg));
-        self.obs.note_depth(chan.class(), q.len() as u64);
+    /// Read-path publication, shard twin, and step-unit metrics of one
+    /// commit; then the checkpoint cadence.
+    fn note_commit(&mut self, g: usize, txn: &StoreTxn) -> Result<(), SimError> {
+        let seq = txn.seq;
+        let step = self.metrics.steps;
+        let watermark = self.parts.warehouse.commit_count();
+        let changed: Vec<ViewId> = txn.views.iter().copied().collect();
+        let draining = !self.more_to_inject();
+        let d = &mut self.driver;
+        // Publish the commit's new view versions to the MVCC read path
+        // (Arc handles — the warehouse copies-on-write underneath them).
+        d.cuts
+            .publish(watermark, self.parts.warehouse.read(&changed));
+        // Twin the commit into the owning shard's plane: local apply,
+        // local cut publication, then — and only then — the watermark
+        // register, so any register value a reader observes is already
+        // resolvable in that shard's cut stack.
+        if let Some(ss) = d.shard_state.as_mut() {
+            let s = ss.topology.shard_of(g);
+            let t = &mut ss.twins[s];
+            let local = t.warehouse.apply(txn)?.commit_index;
+            t.cuts.publish(local, t.warehouse.read(&changed));
+            t.commit_log.push(CommitLogEntry {
+                group: g,
+                seq,
+                rows: txn.rows.clone(),
+                views: txn.views.clone(),
+            });
+            t.local_to_global.push(watermark);
+            ss.watermarks.publish(s, local);
+        }
+        for row in &txn.rows {
+            if let Some(&(v, cut)) = d.install_rows.get(row) {
+                d.activations
+                    .entry(v)
+                    .or_insert((self.commit_log.len() - 1, cut));
+            }
+        }
+        // Freshness: how far the sources have moved past this txn's
+        // frontier, measured in source commits. Sampled only while the
+        // sources are still producing (steady state) — during the final
+        // drain the gap shrinks to zero by construction and would skew
+        // the measure.
+        if !draining {
+            if let Some(&frontier_seq) = self.group_updates[g].get(&txn.frontier) {
+                let staleness = self.cluster.latest_seq().0.saturating_sub(frontier_seq.0);
+                self.metrics.staleness_updates.record(staleness);
+            }
+        }
+        // Per-update latency: injection step → first covering commit step.
+        for row in &txn.rows {
+            if !d.uncovered[g].remove(row) {
+                continue;
+            }
+            let Some(&seq_of_row) = self.group_updates[g].get(row) else {
+                continue;
+            };
+            if let Some(&inj) = d.inject_steps.get(&seq_of_row) {
+                self.metrics
+                    .update_latency_steps
+                    .record(step.saturating_sub(inj));
+            }
+            // close the update once every routed group covered it
+            if let Some(Some(remaining)) = d.open_updates.get_mut(&seq_of_row) {
+                *remaining -= 1;
+                if *remaining == 0 {
+                    d.open_updates.remove(&seq_of_row);
+                }
+            }
+        }
+        if let Some(&rel_step) = d.release_steps[g].get(&seq) {
+            let delay = step.saturating_sub(rel_step);
+            self.metrics.commit_delay_steps.record(delay);
+            d.obs.commit_apply.record(delay);
+        }
+        // Group-activity span in virtual steps (the threaded runtime
+        // records the same span in ns from its MP threads).
+        d.obs.note_group_span(g, step);
+        self.maybe_checkpoint()
     }
 
-    fn quiescent(&self) -> bool {
-        self.channels.values().all(VecDeque::is_empty)
-            && self.vms.values().all(|v| v.is_idle())
-            && self.mps.iter().all(MergeProcess::is_quiescent)
-            && self.reorder_buf.is_empty()
+    /// Emit a checkpoint record every `checkpoint_every` commits. Written
+    /// immediately after the triggering `TxnCommitted`, so every engine
+    /// input that produced the checkpointed state precedes it in the log.
+    ///
+    /// The checkpoint is self-contained (routing history, watermarks,
+    /// in-flight transactions, counters — see `CheckpointState`), which is
+    /// what licenses the WAL to compact segments below its anchor. On
+    /// this single-threaded runtime every logged record's transition has
+    /// been applied by now, so all anchors sit at the checkpoint record's
+    /// own index.
+    fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
+        let d = &mut self.driver;
+        let Some(wal) = self.wal.as_ref().filter(|_| d.checkpoint_every > 0) else {
+            return Ok(());
+        };
+        d.commits_since_checkpoint += 1;
+        if d.commits_since_checkpoint < d.checkpoint_every {
+            return Ok(());
+        }
+        d.commits_since_checkpoint = 0;
+        // In-flight transactions, read off the channel queues exactly: a
+        // released-but-uncommitted txn sits on an MP→WH queue (or in the
+        // chaos reorder buffer), a committed-but-unacked ack on WH→MP.
+        let mut pending: Vec<(u64, StoreTxn)> = Vec::new();
+        let mut unacked: Vec<(u64, TxnSeq)> = Vec::new();
+        for (chan, q) in &self.channels {
+            for m in q {
+                match (chan, m) {
+                    (ChanId::MpToWh(g), Msg::Txn(t)) => pending.push((*g as u64, t.clone())),
+                    (ChanId::WhToMp(g), Msg::Committed(s)) => unacked.push((*g as u64, *s)),
+                    _ => {}
+                }
+            }
+        }
+        for (g, t) in &self.reorder_buf {
+            pending.push((*g as u64, t.clone()));
+        }
+        let (next_id, received, dropped) = self.parts.integrator.counters();
+        let anchor = wal.next_index();
+        let ck = CheckpointState {
+            warehouse: self.parts.warehouse.snapshot(),
+            merges: self.parts.mps.iter().map(MergeProcess::snapshot).collect(),
+            commit_log: self
+                .commit_log
+                .iter()
+                .map(|e| CommitRecord {
+                    group: e.group as u64,
+                    seq: e.seq,
+                    rows: e.rows.clone(),
+                    views: e.views.clone(),
+                })
+                .collect(),
+            route_lists: d.durable_routes.clone(),
+            installed_rel: d.installed_rel.clone(),
+            installed_al: d.installed_al.iter().map(|(&v, &w)| (v, w)).collect(),
+            pending,
+            unacked,
+            last_logged_src: d.last_processed_seq,
+            next_id,
+            received,
+            dropped,
+            merge_anchors: vec![anchor; self.parts.mps.len()],
+            routing_anchor: anchor,
+        };
+        self.log(&WalRecord::Checkpoint(Box::new(ck)))
+    }
+
+    /// §1.2 dynamic view installation, processed by the integrator at a
+    /// well-defined cut of the update stream.
+    fn install_view(&mut self, spec: &ViewEntry) -> Result<(), SimError> {
+        let (g, c) = self
+            .parts
+            .integrator
+            .install_view(spec.id, spec.def.clone(), spec.kind)
+            .map_err(SimError::Unsupported)?;
+        let cut_seq = self.driver.last_processed_seq;
+
+        // New view manager (state loaded at the cut) and an empty
+        // warehouse slot (the install AL fills it transactionally).
+        let mut vm = spec.kind.build(spec.id, spec.def.clone())?;
+        vm.initialize(&self.cluster.as_of(cut_seq))?;
+        self.parts.vms.insert(spec.id, vm);
+        self.parts.warehouse.register_view(
+            spec.id,
+            spec.def.name.clone(),
+            mvc_relational::Relation::shared(spec.def.schema.clone()),
+        )?;
+
+        // Initial load at the cut (exact, via the MVCC log).
+        let initial = mvc_relational::eval_view(&spec.def, &self.cluster.as_of(cut_seq))?;
+        let initial_delta = Delta::inserts_from(&initial);
+
+        // Grow the merge group.
+        if g >= self.parts.group_views.len() {
+            self.parts.group_views.resize_with(g + 1, BTreeSet::new);
+        }
+        let old_views: Vec<ViewId> = self.parts.group_views[g].iter().copied().collect();
+        self.parts.group_views[g].insert(spec.id);
+
+        // Coordinate the install through the merge process: the VUT gains
+        // a column, then an install row relevant to EVERY view gates the
+        // initial load behind all earlier updates (their action lists
+        // precede the pseudo-ALs on each manager's FIFO).
+        self.send(ChanId::IntToMp(g), Msg::AddView(spec.id))?;
+        self.send(
+            ChanId::IntToMp(g),
+            Msg::Rel(c, self.parts.group_views[g].clone()),
+        )?;
+        let pseudo = mvc_viewmgr::NumberedUpdate {
+            id: c,
+            update: Arc::new(SourceUpdate {
+                seq: cut_seq,
+                source: mvc_source::SourceId(0),
+                changes: vec![],
+            }),
+        };
+        for v in old_views {
+            self.send(ChanId::IntToVm(v), Msg::Update(pseudo.clone()))?;
+        }
+        // The new view's install AL carries the initial load. It rides
+        // the SAME FIFO as AddView and REL_c so it cannot overtake them.
+        self.send(
+            ChanId::IntToMp(g),
+            Msg::Action(mvc_core::ActionList::single(spec.id, c, initial_delta)),
+        )?;
+        self.driver.install_rows.insert(c, (spec.id, cut_seq));
+        Ok(())
+    }
+}
+
+/// The seeded-lottery scheduler over the Figure 1 machine.
+pub(crate) struct Sim {
+    config: SimConfig,
+    rng: StdRng,
+    m: Machine<SimDriver>,
+}
+
+impl Sim {
+    fn build(b: SimBuilder) -> Result<Self, SimError> {
+        let c = &b.config;
+        let assembly = assemble(
+            &b.registry,
+            c.partition,
+            c.groups,
+            c.algorithm,
+            c.commit_policy,
+            c.tuple_relevance,
+            c.record_snapshots,
+        )?;
+        let groups = assembly.mps.len();
+        let mut driver = SimDriver::new(groups, c.readers, &assembly.warehouse);
+
+        // Sharded commit plane. Sharded runs stay in-memory (per-shard
+        // WAL streams live in the threaded runtime) and reject dynamic
+        // installs (a twin created at build time would never learn the
+        // new view).
+        let topology = ShardTopology::new(groups, c.shards);
+        if topology.shards() > 1 {
+            if c.durability.is_some() {
+                return Err(SimError::Unsupported(
+                    "sharded sim runs are in-memory only".into(),
+                ));
+            }
+            if !b.installs.is_empty() {
+                return Err(SimError::Unsupported(
+                    "dynamic view installs are not supported in sharded mode".into(),
+                ));
+            }
+            driver.shard_state = Some(ShardState::new(
+                &b.registry,
+                assembly.integrator.partitioning(),
+                topology,
+                c.readers,
+            ));
+        }
+        if c.durability.is_some() && !b.installs.is_empty() {
+            return Err(SimError::Unsupported(
+                "dynamic view installs are not supported in durable mode".into(),
+            ));
+        }
+        driver.installs = b
+            .installs
+            .into_iter()
+            .flat_map(|(at, specs)| specs.into_iter().map(move |spec| (at, spec)))
+            .collect();
+
+        let mut m = Machine::new(
+            b.cluster,
+            assembly,
+            b.workload,
+            c.commit_reorder_depth,
+            driver,
+        );
+        m.metrics.group_busy_steps = vec![0; groups];
+        if let Some(d) = &c.durability {
+            m.attach_wal(d)?;
+            m.driver.checkpoint_every = d.checkpoint_every;
+            // Paint transitions join the log as an audit trail.
+            for mp in &mut m.parts.mps {
+                mp.enable_paint_events();
+            }
+        }
+        Ok(Sim {
+            rng: StdRng::seed_from_u64(c.seed),
+            m,
+            config: b.config,
+        })
     }
 
     pub(crate) fn run(mut self) -> Result<SimReport, SimError> {
@@ -886,29 +1096,36 @@ impl Sim {
         self.into_report()
     }
 
+    /// Nudge whoever is withholding work: a flush message to each of
+    /// `lagging`, then every merge process and the chaos buffer directly.
+    fn nudge(&mut self, lagging: Vec<ViewId>) -> Result<(), SimError> {
+        for v in lagging {
+            self.m.send(ChanId::IntToVm(v), Msg::Flush)?;
+        }
+        for g in 0..self.m.groups() {
+            self.m.flush_merge(g)?;
+        }
+        self.m.flush_reorder_buffer()
+    }
+
     fn run_inner(&mut self) -> Result<(), SimError> {
         // Main phase: interleave injection and delivery.
         loop {
-            if self.metrics.steps >= self.config.max_steps {
+            if self.m.metrics.steps >= self.config.max_steps {
                 return Err(SimError::StepLimit(self.config.max_steps));
             }
-            let nonempty: Vec<Chan> = self
-                .channels
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(&c, _)| c)
-                .collect();
-            let open = self.open_updates.len();
+            let nonempty = self.m.nonempty_channels();
+            let open = self.m.driver.open_updates.len();
             let window_ok = self
                 .config
                 .max_open_updates
                 .map(|w| open < w.max(1))
                 .unwrap_or(true);
-            let can_inject = !self.workload.is_empty()
+            let can_inject = self.m.more_to_inject()
                 && window_ok
-                && (!self.config.sequential || self.quiescent());
+                && (!self.config.sequential || self.m.quiescent());
             if nonempty.is_empty() && !can_inject {
-                if self.workload.is_empty() {
+                if !self.m.more_to_inject() {
                     break;
                 }
                 // Sequential mode stalled with no messages in flight: a
@@ -916,21 +1133,15 @@ impl Sim {
                 // end-to-end chain finishes and injection can resume.
                 debug_assert!(self.config.sequential);
                 let lagging: Vec<ViewId> = self
+                    .m
+                    .parts
                     .vms
                     .iter()
                     .filter(|(_, v)| !v.is_idle())
                     .map(|(&id, _)| id)
                     .collect();
-                for v in &lagging {
-                    self.send(Chan::IntToVm(*v), Msg::Flush);
-                }
-                for g in 0..self.mps.len() {
-                    let released = self.mps[g].flush();
-                    self.record_releases(g, released)?;
-                }
-                self.flush_reorder_buffer()?;
-                let still_empty = self.channels.values().all(VecDeque::is_empty);
-                if still_empty && !self.quiescent() {
+                self.nudge(lagging)?;
+                if self.m.nonempty_channels().is_empty() && !self.m.quiescent() {
                     return Err(SimError::NonQuiescent(
                         "sequential mode stalled with unfinishable work".into(),
                     ));
@@ -945,73 +1156,66 @@ impl Sim {
             // Reader sessions are ordinary lottery participants (one
             // ticket each), slotted in *after* the termination check so
             // readers never keep an otherwise-finished run alive.
-            let reader_w = self.reader_sessions.len();
+            let reader_w = self.m.driver.reader_sessions.len();
             let total = nonempty.len() + inject_w + reader_w;
             let pick = self.rng.gen_range(0..total);
-            self.metrics.steps += 1;
             if pick < nonempty.len() {
-                self.deliver(nonempty[pick])?;
+                self.m.step(Choice::Deliver(nonempty[pick]))?;
             } else if pick < nonempty.len() + inject_w {
                 self.inject()?;
             } else {
+                self.m.metrics.steps += 1;
                 self.reader_step(pick - nonempty.len() - inject_w);
             }
         }
+        self.drain()
+    }
 
-        // Drain phase: flush batching components until global quiescence.
-        // Every view manager receives at least one Flush even when idle —
-        // convergent managers run their final correction pass there.
+    /// Drain phase: flush batching components until global quiescence.
+    /// Every view manager receives at least one Flush even when idle —
+    /// convergent managers run their final correction pass there.
+    fn drain(&mut self) -> Result<(), SimError> {
         let mut flushed_all = false;
         for _round in 0..10_000 {
             // Deliver everything currently in flight.
             loop {
-                if self.metrics.steps >= self.config.max_steps {
+                if self.m.metrics.steps >= self.config.max_steps {
                     return Err(SimError::StepLimit(self.config.max_steps));
                 }
-                let nonempty: Vec<Chan> = self
-                    .channels
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(&c, _)| c)
-                    .collect();
+                let nonempty = self.m.nonempty_channels();
                 if nonempty.is_empty() {
                     break;
                 }
                 let pick = self.rng.gen_range(0..nonempty.len());
-                self.metrics.steps += 1;
-                self.deliver(nonempty[pick])?;
+                self.m.step(Choice::Deliver(nonempty[pick]))?;
             }
-            if self.quiescent() && flushed_all {
+            if self.m.quiescent() && flushed_all {
                 break;
             }
             // Nudge whoever is holding back (everyone, the first time).
             let lagging: Vec<ViewId> = self
+                .m
+                .parts
                 .vms
                 .iter()
                 .filter(|(_, v)| !flushed_all || !v.is_idle())
                 .map(|(&id, _)| id)
                 .collect();
             flushed_all = true;
-            for v in lagging {
-                self.send(Chan::IntToVm(v), Msg::Flush);
-            }
-            for g in 0..self.mps.len() {
-                let released = self.mps[g].flush();
-                self.record_releases(g, released)?;
-            }
-            if let Some(depth) = self.config.commit_reorder_depth {
-                let _ = depth;
-                self.flush_reorder_buffer()?;
-            }
+            self.nudge(lagging)?;
         }
-        if !self.quiescent() {
+        if !self.m.quiescent() {
             let stuck: Vec<String> = self
+                .m
+                .parts
                 .vms
                 .iter()
                 .filter(|(_, v)| !v.is_idle())
                 .map(|(id, _)| id.to_string())
                 .chain(
-                    self.mps
+                    self.m
+                        .parts
+                        .mps
                         .iter()
                         .enumerate()
                         .filter(|(_, m)| !m.is_quiescent())
@@ -1023,436 +1227,32 @@ impl Sim {
         Ok(())
     }
 
-    fn into_report(mut self) -> Result<SimReport, SimError> {
-        if let Some(w) = self.wal.as_mut() {
-            w.finalize()?;
-            self.metrics.wal_fsyncs = w.fsyncs();
-        }
-        let merge_stats = self.mps.iter().map(MergeProcess::stats).collect();
-        let commit_stats = self.mps.iter().map(MergeProcess::commit_stats).collect();
-        // Sharded runs: emit the per-shard planes, and *also* remap every
-        // shard observation into global sessions/watermarks so the
-        // ordinary single-store read certification covers them against
-        // the global history (the remap is exact — `local_to_global` was
-        // recorded at commit time).
-        let mut read_observations = self.read_observations;
-        let shard_plane = self.shard_state.map(|ss| {
-            let ShardState {
-                topology,
-                warehouses,
-                mut commit_logs,
-                mut observations,
-                mut initial_fingerprints,
-                mut local_to_global,
-                frontiers,
-                ..
-            } = ss;
-            let mut shards = Vec::with_capacity(warehouses.len());
-            for (s, w) in warehouses.iter().enumerate() {
-                let obs = std::mem::take(&mut observations[s]);
-                let l2g = std::mem::take(&mut local_to_global[s]);
-                read_observations.extend(remap_observations(s, &obs, &l2g));
-                shards.push(ShardReport {
-                    commit_log: std::mem::take(&mut commit_logs[s]),
-                    history: w.history().to_vec(),
-                    initial_fingerprints: std::mem::take(&mut initial_fingerprints[s]),
-                    read_observations: obs,
-                    local_to_global: l2g,
-                    commits: w.commit_count(),
-                });
-            }
-            ShardPlane {
-                assignment: topology.assignment().to_vec(),
-                shards,
-                frontiers,
-            }
-        });
-        Ok(SimReport {
-            cluster: self.cluster,
-            warehouse: self.warehouse,
-            registry: self.integrator.registry().clone(),
-            partitioning: self.integrator.partitioning().clone(),
-            group_updates: self.group_updates,
-            metrics: self.metrics,
-            merge_stats,
-            commit_stats,
-            guarantees: self.guarantees,
-            group_views: self.group_views,
-            commit_log: self.commit_log,
-            pipeline: self.obs,
-            routed: self.routed,
-            activations: self.activations,
-            read_observations,
-            initial_fingerprints: self.initial_fingerprints,
-            shard_plane,
-        })
+    fn into_report(self) -> Result<SimReport, SimError> {
+        let (mut report, d) = self.m.finish()?;
+        report.pipeline = d.obs;
+        report.activations = d.activations;
+        report.read_observations = d.read_observations;
+        report.initial_fingerprints = d.initial_fingerprints;
+        report.shard_plane = d
+            .shard_state
+            .map(|ss| ss.into_plane(&mut report.read_observations));
+        Ok(report)
     }
 
-    /// Execute the next driver action: a workload transaction at the
-    /// sources, or a dynamic view installation.
+    /// Execute the next driver action: a dynamic view installation that
+    /// has come due, else the next workload transaction at the sources.
     fn inject(&mut self) -> Result<(), SimError> {
-        match self.workload.pop_front().expect("inject checked") {
-            DriverAction::Txn(t) => {
-                let update = if t.global {
-                    self.cluster.execute_global(t.source, t.writes)?
-                } else {
-                    self.cluster.execute(t.source, t.writes)?
-                };
-                self.metrics.injected += 1;
-                self.inject_steps.insert(update.seq, self.metrics.steps);
-                self.open_updates.insert(update.seq, None);
-                self.send(Chan::SrcToInt, Msg::SrcUpdate(Arc::new(update)));
-            }
-            DriverAction::Install(spec) => {
-                // rides the same FIFO as the update stream so the
-                // integrator sees it at a well-defined cut
-                self.send(Chan::SrcToInt, Msg::InstallView(spec.id));
-            }
+        let injected = self.m.metrics.injected as usize;
+        let installs = &mut self.m.driver.installs;
+        let due = installs.front().is_some_and(|(at, _)| *at <= injected);
+        if due || self.m.workload.is_empty() {
+            let (_, spec) = installs.pop_front().expect("inject checked");
+            self.m.metrics.steps += 1;
+            return self
+                .m
+                .send(ChanId::SrcToInt, Msg::InstallView(Box::new(spec)));
         }
-        Ok(())
-    }
-
-    /// Deliver the head message of a channel.
-    fn deliver(&mut self, chan: Chan) -> Result<(), SimError> {
-        let (sent, msg) = self
-            .channels
-            .get_mut(&chan)
-            .and_then(VecDeque::pop_front)
-            .expect("chosen channel nonempty");
-        self.metrics.messages_delivered += 1;
-        // Emulated-parallel accounting: deliveries handled by a merge
-        // group's plane (its views' VM compute, merge, commit, ack) are
-        // charged to that group. Groups are independent (§6.1), so
-        // `max(group_busy_steps)` is the plane's parallel makespan even
-        // though this serial scheduler runs them one at a time.
-        let busy_group = match chan {
-            Chan::IntToMp(g) | Chan::MpToWh(g) | Chan::WhToMp(g) => Some(g),
-            Chan::IntToVm(v) | Chan::VmToMp(v) | Chan::VmToQs(v) => {
-                self.integrator.partitioning().group_of_view(v)
-            }
-            Chan::SrcToInt => None,
-        };
-        if let Some(b) = busy_group.and_then(|g| self.metrics.group_busy_steps.get_mut(g)) {
-            *b += 1;
-        }
-        let wait = self.metrics.steps.saturating_sub(sent);
-        match chan {
-            Chan::SrcToInt => self.obs.src_to_int_wait.record(wait),
-            // Fan-out arrows from the integrator: routing latency in
-            // virtual time is the queue wait until the recipient runs.
-            Chan::IntToVm(_) | Chan::IntToMp(_) => self.obs.int_routing.record(wait),
-            _ => {}
-        }
-        match (chan, msg) {
-            (Chan::SrcToInt, Msg::SrcUpdate(u)) => {
-                let seq = u.seq;
-                self.last_processed_seq = seq;
-                if self.wal.is_some() {
-                    self.log(&WalRecord::SourceUpdate(Arc::clone(&u)))?;
-                }
-                let routings = self.integrator.route(u);
-                if routings.is_empty() {
-                    // irrelevant everywhere: closes immediately
-                    self.open_updates.remove(&seq);
-                } else {
-                    self.open_updates.insert(seq, Some(routings.len()));
-                }
-                for r in &routings {
-                    self.routed.insert(r.numbered.seq());
-                }
-                for r in routings {
-                    self.group_updates[r.group].insert(r.numbered.id, r.numbered.seq());
-                    self.uncovered[r.group].insert(r.numbered.id, ());
-                    if self.wal.is_some() {
-                        // Mirror of the WAL's routing stream, kept so the
-                        // next checkpoint is self-contained (shares the
-                        // payload Arc — no tuple copies).
-                        self.durable_routes.push(RoutedUpdate {
-                            group: r.group as u64,
-                            id: r.numbered.id,
-                            update: Arc::clone(&r.numbered.update),
-                            rel: r.rel.clone(),
-                        });
-                    }
-                    self.send(
-                        Chan::IntToMp(r.group),
-                        Msg::Rel(r.numbered.id, r.rel.clone()),
-                    );
-                    for v in r.rel {
-                        // seal: fan-out shares the routed payload's Arc
-                        // handle, never the tuple data
-                        self.send(Chan::IntToVm(v), Msg::Update(r.numbered.clone()));
-                    }
-                }
-            }
-            (Chan::IntToVm(v), Msg::Update(u)) => {
-                // Delivery-replay managers log every delivered event
-                // (log-ahead, like every other record) so recovery can
-                // re-run their exact input sequence.
-                if self.snapshot_logged.contains(&v) {
-                    self.log(&WalRecord::VmUpdateDelivered { view: v, id: u.id })?;
-                }
-                self.vm_pending.insert((v, u.id), self.metrics.steps);
-                let outs = self
-                    .vms
-                    .get_mut(&v)
-                    .expect("known view")
-                    .handle(VmEvent::Update(u))?;
-                self.route_vm_outputs(v, outs);
-            }
-            (Chan::IntToVm(v), Msg::Flush) => {
-                if self.snapshot_logged.contains(&v) {
-                    self.log(&WalRecord::VmFlushDelivered { view: v })?;
-                }
-                let outs = self
-                    .vms
-                    .get_mut(&v)
-                    .expect("known view")
-                    .handle(VmEvent::Flush)?;
-                self.route_vm_outputs(v, outs);
-            }
-            (Chan::IntToVm(v), Msg::Answer(token, answer)) => {
-                if self.snapshot_logged.contains(&v) {
-                    // By value: re-asking the sources post-crash would
-                    // observe a different state than the manager
-                    // compensated for.
-                    self.log(&WalRecord::VmAnswerDelivered {
-                        view: v,
-                        token,
-                        answer: answer.clone(),
-                    })?;
-                }
-                let outs = self
-                    .vms
-                    .get_mut(&v)
-                    .expect("known view")
-                    .handle(VmEvent::Answer { token, answer })?;
-                self.route_vm_outputs(v, outs);
-            }
-            (Chan::VmToQs(v), Msg::Query(token, request)) => {
-                // Answered at the current source state *now* — the delay
-                // between issue and this step is the intertwining window.
-                // The answer is routed through the integrator pipeline so
-                // it cannot overtake the updates it reflects.
-                let answer = answer_query(&self.cluster, &request)?;
-                self.send(Chan::SrcToInt, Msg::AnswerFor(v, token, answer));
-            }
-            (Chan::SrcToInt, Msg::InstallView(view)) => {
-                self.handle_install(view)?;
-            }
-            (Chan::IntToMp(g), Msg::AddView(v)) => {
-                self.mps[g].add_view(v);
-            }
-            (Chan::SrcToInt, Msg::AnswerFor(v, token, answer)) => {
-                // Forwarded on the *same* FIFO as this view's updates so
-                // that the end-to-end order is preserved.
-                self.send(Chan::IntToVm(v), Msg::Answer(token, answer));
-            }
-            (Chan::IntToMp(g), Msg::Action(al)) => {
-                // install AL for a freshly added view (§1.2)
-                self.al_recv
-                    .insert((g, al.view, al.last), self.metrics.steps);
-                if self.wal.is_some() {
-                    self.log(&WalRecord::ActionInstalled {
-                        group: g as u64,
-                        al: al.clone(),
-                    })?;
-                    let w = self.installed_al.entry(al.view).or_insert(UpdateId::ZERO);
-                    *w = (*w).max(al.last);
-                }
-                let released = self.mps[g].on_action(al)?;
-                self.sample_vut(g);
-                self.log_paints(g)?;
-                self.record_releases(g, released)?;
-            }
-            (Chan::IntToMp(g), Msg::Rel(id, rel)) => {
-                if self.wal.is_some() {
-                    self.log(&WalRecord::RelInstalled {
-                        group: g as u64,
-                        id,
-                        rel: rel.clone(),
-                    })?;
-                    self.installed_rel[g] = self.installed_rel[g].max(id);
-                }
-                let released = self.mps[g].on_rel(id, rel)?;
-                self.sample_vut(g);
-                self.log_paints(g)?;
-                self.record_releases(g, released)?;
-            }
-            (Chan::VmToMp(v), Msg::Action(al)) => {
-                let g = self.integrator.partitioning().group_of_view(v).unwrap_or(0);
-                self.al_recv
-                    .insert((g, al.view, al.last), self.metrics.steps);
-                if self.wal.is_some() {
-                    self.log(&WalRecord::ActionInstalled {
-                        group: g as u64,
-                        al: al.clone(),
-                    })?;
-                    let w = self.installed_al.entry(al.view).or_insert(UpdateId::ZERO);
-                    *w = (*w).max(al.last);
-                }
-                let released = self.mps[g].on_action(al)?;
-                self.sample_vut(g);
-                self.log_paints(g)?;
-                self.record_releases(g, released)?;
-            }
-            (Chan::MpToWh(g), Msg::Txn(txn)) => {
-                self.commit_or_buffer(g, txn)?;
-            }
-            (Chan::WhToMp(g), Msg::Committed(seq)) => {
-                self.log(&WalRecord::CommitAcked {
-                    group: g as u64,
-                    seq,
-                })?;
-                let released = self.mps[g].on_committed(seq);
-                self.record_releases(g, released)?;
-            }
-            (c, m) => unreachable!("message {m:?} on channel {c:?}"),
-        }
-        Ok(())
-    }
-
-    fn route_vm_outputs(&mut self, v: ViewId, outs: Vec<VmOutput>) {
-        for o in outs {
-            match o {
-                VmOutput::Action(al) => {
-                    // vm_compute: earliest covered update's arrival at the
-                    // VM → this AL's emission (batched ALs span a range).
-                    let covered: Vec<(ViewId, UpdateId)> = self
-                        .vm_pending
-                        .range((v, al.first)..=(v, al.last))
-                        .map(|(&k, _)| k)
-                        .collect();
-                    let earliest = covered
-                        .iter()
-                        .filter_map(|k| self.vm_pending.remove(k))
-                        .min();
-                    if let Some(arrived) = earliest {
-                        self.obs
-                            .vm_compute
-                            .record(self.metrics.steps.saturating_sub(arrived));
-                    }
-                    self.send(Chan::VmToMp(v), Msg::Action(al));
-                }
-                VmOutput::Query { token, request } => {
-                    self.send(Chan::VmToQs(v), Msg::Query(token, request))
-                }
-            }
-        }
-    }
-
-    fn record_releases(&mut self, g: usize, released: Vec<StoreTxn>) -> Result<(), SimError> {
-        for t in released {
-            if self.wal.is_some() {
-                // Full payload: a txn released before a checkpoint but
-                // committed after it cannot be regenerated by tail replay.
-                self.log(&WalRecord::GroupReleased {
-                    group: g as u64,
-                    txn: t.clone(),
-                })?;
-            }
-            for a in &t.actions {
-                if let Some(rcv) = self.al_recv.remove(&(g, a.view, a.last)) {
-                    self.obs
-                        .merge_hold
-                        .record(self.metrics.steps.saturating_sub(rcv));
-                }
-            }
-            self.release_steps[g].insert(t.seq, self.metrics.steps);
-            self.send(Chan::MpToWh(g), Msg::Txn(t));
-        }
-        Ok(())
-    }
-
-    fn sample_vut(&mut self, g: usize) {
-        let rows = self.mps[g].live_rows() as u64;
-        self.metrics.vut_occupancy.record(rows);
-        self.obs.vut_occupancy.record(rows);
-    }
-
-    fn commit_or_buffer(&mut self, g: usize, txn: StoreTxn) -> Result<(), SimError> {
-        match self.config.commit_reorder_depth {
-            Some(depth) => {
-                self.reorder_buf.push((g, txn));
-                if self.reorder_buf.len() >= depth.max(1) {
-                    self.flush_reorder_buffer()?;
-                }
-            }
-            None => self.commit(g, txn)?,
-        }
-        Ok(())
-    }
-
-    fn flush_reorder_buffer(&mut self) -> Result<(), SimError> {
-        let buf: Vec<(usize, StoreTxn)> = self.reorder_buf.drain(..).rev().collect();
-        for (g, txn) in buf {
-            self.commit(g, txn)?;
-        }
-        Ok(())
-    }
-
-    /// §1.2 dynamic view installation, processed by the integrator at a
-    /// well-defined cut of the update stream.
-    fn handle_install(&mut self, view: ViewId) -> Result<(), SimError> {
-        let spec = self
-            .install_specs
-            .remove(&view)
-            .expect("install spec registered");
-        let (g, c) = self
-            .integrator
-            .install_view(spec.id, spec.def.clone(), spec.kind)
-            .map_err(SimError::NonQuiescent)?;
-        let cut_seq = self.last_processed_seq;
-
-        // New view manager (state loaded at the cut) and an empty
-        // warehouse slot (the install AL fills it transactionally).
-        let mut vm = spec.kind.build(spec.id, spec.def.clone())?;
-        vm.initialize(&self.cluster.as_of(cut_seq))?;
-        self.vms.insert(spec.id, vm);
-        self.warehouse
-            .register_view(
-                spec.id,
-                spec.def.name.clone(),
-                mvc_relational::Relation::shared(spec.def.schema.clone()),
-            )
-            .map_err(SimError::Warehouse)?;
-
-        // Initial load at the cut (exact, via the MVCC log).
-        let initial = mvc_relational::eval_view(&spec.def, &self.cluster.as_of(cut_seq))?;
-        let initial_delta = Delta::inserts_from(&initial);
-
-        // Grow the merge group.
-        if g >= self.group_views.len() {
-            self.group_views.resize_with(g + 1, BTreeSet::new);
-        }
-        let old_views: Vec<ViewId> = self.group_views[g].iter().copied().collect();
-        self.group_views[g].insert(spec.id);
-
-        // Coordinate the install through the merge process: the VUT gains
-        // a column, then an install row relevant to EVERY view gates the
-        // initial load behind all earlier updates (their action lists
-        // precede the pseudo-ALs on each manager's FIFO).
-        self.send(Chan::IntToMp(g), Msg::AddView(spec.id));
-        self.send(Chan::IntToMp(g), Msg::Rel(c, self.group_views[g].clone()));
-        let pseudo = mvc_viewmgr::NumberedUpdate {
-            id: c,
-            update: Arc::new(SourceUpdate {
-                seq: cut_seq,
-                source: mvc_source::SourceId(0),
-                changes: vec![],
-            }),
-        };
-        for v in old_views {
-            self.send(Chan::IntToVm(v), Msg::Update(pseudo.clone()));
-        }
-        // The new view's install AL carries the initial load. It rides
-        // the SAME FIFO as AddView and REL_c so it cannot overtake them.
-        self.send(
-            Chan::IntToMp(g),
-            Msg::Action(mvc_core::ActionList::single(spec.id, c, initial_delta)),
-        );
-        self.install_rows.insert(c, (spec.id, cut_seq));
-        Ok(())
+        self.m.step(Choice::Inject)
     }
 
     /// One scheduled read by reader session `i`: alternate randomly
@@ -1461,12 +1261,12 @@ impl Sim {
     /// cut — exercising the monotonicity path). The observation is kept
     /// for certification; staleness/chain/GC gauges feed the histograms.
     fn reader_step(&mut self, i: usize) {
-        if self.shard_state.is_some() {
-            self.sharded_reader_step(i);
-            return;
+        let d = &mut self.m.driver;
+        if d.shard_state.is_some() {
+            return d.sharded_reader_step(i);
         }
-        let head = self.cuts.head();
-        let s = &mut self.reader_sessions[i];
+        let head = d.cuts.head();
+        let s = &mut d.reader_sessions[i];
         let target = if self.rng.gen_bool(0.5) {
             head
         } else {
@@ -1474,12 +1274,80 @@ impl Sim {
             low + self.rng.gen_range(0..=head.saturating_sub(low))
         };
         let out = s
-            .read_at(target, &self.reader_views)
+            .read_at(target, &d.reader_views)
             .expect("target ≤ head and every chain was seeded at build");
-        self.obs.note_read(out.staleness, out.chain_len, out.gc_lag);
-        self.read_observations.push(out.observation);
+        d.obs.note_read(out.staleness, out.chain_len, out.gc_lag);
+        d.read_observations.push(out.observation);
     }
 
+    /// Reconstruct a mid-flight simulation from recovered state (see
+    /// `recovery::recover_and_run`): engines, warehouse, view managers
+    /// and bookkeeping come from the WAL scan; every message that was in
+    /// flight (or lost with the log tail) is re-enqueued. The resumed run
+    /// does not re-log (single-recovery model) and, like every durable
+    /// run, is unsharded.
+    pub(crate) fn resume(
+        mut config: SimConfig,
+        cluster: SourceCluster,
+        mut state: crate::recovery::RecoveredState,
+        remaining: Vec<WorkloadTxn>,
+    ) -> Result<Self, SimError> {
+        config.durability = None;
+        let groups = state.assembly.mps.len();
+        let channels = state.in_flight(&cluster);
+        let mut driver = SimDriver::new(groups, config.readers, &state.assembly.warehouse);
+        driver.last_processed_seq = state.last_logged_src;
+        // Re-enqueued messages wait from step 0.
+        driver.stamps = channels
+            .iter()
+            .map(|(&c, q)| (c, q.iter().map(|_| 0).collect()))
+            .collect();
+
+        // Rows not yet covered by a commit, and the open-update window.
+        for u in state.cluster_tail(&cluster) {
+            driver.open_updates.insert(u.seq, None);
+        }
+        for (g, list) in state.route_lists.iter().enumerate() {
+            driver.uncovered[g].extend(list.iter().map(|(id, _, _)| *id));
+        }
+        for e in &state.commit_log {
+            for row in &e.rows {
+                driver.uncovered[e.group].remove(row);
+            }
+        }
+        let mut still_open: BTreeMap<GlobalSeq, usize> = BTreeMap::new();
+        for (g, ids) in driver.uncovered.iter().enumerate() {
+            for id in ids {
+                let seq = state.group_updates[g]
+                    .get(id)
+                    .copied()
+                    .expect("uncovered row was routed");
+                *still_open.entry(seq).or_insert(0) += 1;
+            }
+        }
+        for (seq, n) in still_open {
+            driver.open_updates.insert(seq, Some(n));
+        }
+
+        let mut m = Machine::new(
+            cluster,
+            state.assembly,
+            remaining,
+            config.commit_reorder_depth,
+            driver,
+        );
+        m.channels = channels;
+        m.group_updates = state.group_updates;
+        m.commit_log = state.commit_log;
+        Ok(Sim {
+            rng: StdRng::seed_from_u64(config.seed),
+            m,
+            config,
+        })
+    }
+}
+
+impl SimDriver {
     /// One cross-shard read by reader `i` under the watermark protocol:
     /// snapshot the register vector *first* (the frontier), then read
     /// each shard at its entry. Every register value was published after
@@ -1498,362 +1366,11 @@ impl Sim {
         });
         for (s, &target) in frontier.iter().enumerate() {
             let out = ss.sessions[i][s]
-                .read_at(target, &ss.views[s])
+                .read_at(target, &ss.twins[s].views)
                 .expect("register values are published after their cuts");
             self.obs.note_read(out.staleness, out.chain_len, out.gc_lag);
-            ss.observations[s].push(out.observation);
+            ss.twins[s].observations.push(out.observation);
         }
-    }
-
-    fn commit(&mut self, g: usize, txn: StoreTxn) -> Result<(), SimError> {
-        let seq = txn.seq;
-        self.log(&WalRecord::TxnCommitted {
-            group: g as u64,
-            seq,
-        })?;
-        let (watermark, changed) = {
-            let rec = self.warehouse.apply(&txn)?;
-            (
-                rec.commit_index,
-                rec.views.iter().copied().collect::<Vec<_>>(),
-            )
-        };
-        // Publish the commit's new view versions to the MVCC read path
-        // (Arc handles — the warehouse copies-on-write underneath them).
-        self.cuts.publish(watermark, self.warehouse.read(&changed));
-        self.commit_log.push(CommitLogEntry {
-            group: g,
-            seq,
-            rows: txn.rows.clone(),
-            views: txn.views.clone(),
-        });
-        // Twin the commit into the owning shard's plane: local apply,
-        // local cut publication, then — and only then — the watermark
-        // register, so any register value a reader observes is already
-        // resolvable in that shard's cut stack.
-        if let Some(ss) = self.shard_state.as_mut() {
-            let s = ss.topology.shard_of(g);
-            let local = {
-                let rec = ss.warehouses[s].apply(&txn)?;
-                rec.commit_index
-            };
-            ss.cuts[s].publish(local, ss.warehouses[s].read(&changed));
-            ss.commit_logs[s].push(CommitLogEntry {
-                group: g,
-                seq,
-                rows: txn.rows.clone(),
-                views: txn.views.clone(),
-            });
-            ss.local_to_global[s].push(watermark);
-            ss.watermarks.publish(s, local);
-        }
-        for row in &txn.rows {
-            if let Some(&(v, cut)) = self.install_rows.get(row) {
-                self.activations
-                    .entry(v)
-                    .or_insert((self.commit_log.len() - 1, cut));
-            }
-        }
-        self.metrics.commits += 1;
-        // Freshness: how far the sources have moved past this txn's
-        // frontier, measured in source commits. Sampled only while the
-        // sources are still producing (steady state) — during the final
-        // drain the gap shrinks to zero by construction and would skew
-        // the measure.
-        if !self.workload.is_empty() {
-            if let Some(&frontier_seq) = self.group_updates[g].get(&txn.frontier) {
-                let staleness = self.cluster.latest_seq().0.saturating_sub(frontier_seq.0);
-                self.metrics.staleness_updates.record(staleness);
-            }
-        }
-        // Per-update latency: injection step → first covering commit step.
-        for row in &txn.rows {
-            if self.uncovered[g].remove(row).is_some() {
-                if let Some(&seq_of_row) = self.group_updates[g].get(row) {
-                    if let Some(&inj) = self.inject_steps.get(&seq_of_row) {
-                        self.metrics
-                            .update_latency_steps
-                            .record(self.metrics.steps.saturating_sub(inj));
-                    }
-                    // close the update once every routed group covered it
-                    if let Some(Some(remaining)) = self.open_updates.get_mut(&seq_of_row) {
-                        *remaining -= 1;
-                        if *remaining == 0 {
-                            self.open_updates.remove(&seq_of_row);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(&rel_step) = self.release_steps[g].get(&seq) {
-            let delay = self.metrics.steps.saturating_sub(rel_step);
-            self.metrics.commit_delay_steps.record(delay);
-            self.obs.commit_apply.record(delay);
-        }
-        // Group-activity span in virtual steps (the threaded runtime
-        // records the same span in ns from its MP threads).
-        self.obs.note_group_span(g, self.metrics.steps);
-        self.send(Chan::WhToMp(g), Msg::Committed(seq));
-        self.maybe_checkpoint()?;
-        Ok(())
-    }
-
-    /// Emit a checkpoint record every `checkpoint_every` commits. Written
-    /// immediately after the triggering `TxnCommitted`, so every engine
-    /// input that produced the checkpointed state precedes it in the log.
-    ///
-    /// The checkpoint is self-contained (routing history, watermarks,
-    /// in-flight transactions, counters — see `CheckpointState`), which is
-    /// what licenses the WAL to compact segments below its anchor. On
-    /// this single-threaded runtime every logged record's transition has
-    /// been applied by now, so all anchors sit at the checkpoint record's
-    /// own index.
-    fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
-        if self.wal.is_none() || self.checkpoint_every == 0 {
-            return Ok(());
-        }
-        self.commits_since_checkpoint += 1;
-        if self.commits_since_checkpoint < self.checkpoint_every {
-            return Ok(());
-        }
-        self.commits_since_checkpoint = 0;
-        // In-flight transactions, read off the channel queues exactly: a
-        // released-but-uncommitted txn sits on an MP→WH queue (or in the
-        // chaos reorder buffer), a committed-but-unacked ack on WH→MP.
-        let mut pending: Vec<(u64, StoreTxn)> = Vec::new();
-        let mut unacked: Vec<(u64, TxnSeq)> = Vec::new();
-        for (chan, q) in &self.channels {
-            match chan {
-                Chan::MpToWh(g) => {
-                    for (_, m) in q {
-                        if let Msg::Txn(t) = m {
-                            pending.push((*g as u64, t.clone()));
-                        }
-                    }
-                }
-                Chan::WhToMp(g) => {
-                    for (_, m) in q {
-                        if let Msg::Committed(s) = m {
-                            unacked.push((*g as u64, *s));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (g, t) in &self.reorder_buf {
-            pending.push((*g as u64, t.clone()));
-        }
-        let (next_id, received, dropped) = self.integrator.counters();
-        let anchor = self.wal.as_ref().expect("durable mode").next_index();
-        let ck = CheckpointState {
-            warehouse: self.warehouse.snapshot(),
-            merges: self.mps.iter().map(MergeProcess::snapshot).collect(),
-            commit_log: self
-                .commit_log
-                .iter()
-                .map(|e| CommitRecord {
-                    group: e.group as u64,
-                    seq: e.seq,
-                    rows: e.rows.clone(),
-                    views: e.views.clone(),
-                })
-                .collect(),
-            route_lists: self.durable_routes.clone(),
-            installed_rel: self.installed_rel.clone(),
-            installed_al: self.installed_al.iter().map(|(&v, &w)| (v, w)).collect(),
-            pending,
-            unacked,
-            last_logged_src: self.last_processed_seq,
-            next_id,
-            received,
-            dropped,
-            merge_anchors: vec![anchor; self.mps.len()],
-            routing_anchor: anchor,
-        };
-        self.log(&WalRecord::Checkpoint(Box::new(ck)))
-    }
-
-    /// Reconstruct a mid-flight simulation from recovered state (see
-    /// `recovery::recover_and_run`): engines, warehouse, view managers
-    /// and bookkeeping come from the WAL scan; every message that was in
-    /// flight (or lost with the log tail) is re-enqueued. The resumed run
-    /// does not re-log (single-recovery model).
-    pub(crate) fn resume(
-        mut config: SimConfig,
-        cluster: SourceCluster,
-        mut state: crate::recovery::RecoveredState,
-        remaining: Vec<WorkloadTxn>,
-    ) -> Result<Self, SimError> {
-        config.durability = None;
-        let groups = state.mps.len();
-        let mut channels: BTreeMap<Chan, VecDeque<(u64, Msg)>> = BTreeMap::new();
-        let mut push = |chan: Chan, msg: Msg| {
-            channels.entry(chan).or_default().push_back((0, msg));
-        };
-
-        // Source updates the integrator never durably saw: re-deliver
-        // from the (surviving) source history.
-        let mut open_updates: BTreeMap<GlobalSeq, Option<usize>> = BTreeMap::new();
-        for u in state.cluster_tail(&cluster) {
-            open_updates.insert(u.seq, None);
-            // seal: replay owns its payload — the surviving history entry
-            // is deep-copied once into a fresh Arc, off the hot path
-            push(Chan::SrcToInt, Msg::SrcUpdate(Arc::new(u.clone())));
-        }
-
-        // REL messages past each group's installed watermark (per-channel
-        // FIFO makes the durable prefix gapless), and per-view update
-        // messages past each view's AL watermark.
-        for (g, list) in state.route_lists.iter().enumerate() {
-            for (id, _, rel) in list {
-                if *id > state.installed_rel[g] {
-                    push(Chan::IntToMp(g), Msg::Rel(*id, rel.clone()));
-                }
-            }
-        }
-        let zero = UpdateId::ZERO;
-        for (g, views) in state.group_views.iter().enumerate() {
-            for &v in views {
-                if state.replayed_views.contains(&v) {
-                    // Delivery-replay views: everything routed to the
-                    // view but not in its durable delivery log was in
-                    // flight when the crash hit — re-deliver in id order.
-                    let del = state.delivered.get(&v);
-                    for (id, numbered, rel) in &state.route_lists[g] {
-                        if rel.contains(&v) && !del.is_some_and(|d| d.contains(id)) {
-                            // seal: re-delivery fan-out clones the Arc
-                            // handle, never the tuple payload.
-                            push(Chan::IntToVm(v), Msg::Update(numbered.clone()));
-                        }
-                    }
-                } else {
-                    let watermark = *state.installed_al.get(&v).unwrap_or(&zero);
-                    for (id, numbered, rel) in &state.route_lists[g] {
-                        if rel.contains(&v) && *id > watermark {
-                            // seal: re-delivery shares the routed
-                            // payload's Arc handle, never the tuple data
-                            push(Chan::IntToVm(v), Msg::Update(numbered.clone()));
-                        }
-                    }
-                }
-            }
-        }
-
-        // What the delivery replay re-emitted and the crashed run still
-        // had in flight: action lists back onto VM→MP, unanswered queries
-        // back onto VM→QS (the answer rides src→int→vm FIFO behind every
-        // re-enqueued update, preserving the compensation ordering).
-        for (v, al) in std::mem::take(&mut state.vm_requeue_actions) {
-            push(Chan::VmToMp(v), Msg::Action(al));
-        }
-        for (v, token, request) in std::mem::take(&mut state.vm_requeue_queries) {
-            push(Chan::VmToQs(v), Msg::Query(token, request));
-        }
-
-        // Released-but-uncommitted transactions go straight back to the
-        // committer; committed-but-unacked seqs get their ack re-delivered
-        // (else the scheduler's in-flight window never clears).
-        for ((g, _), txn) in &state.pending {
-            push(Chan::MpToWh(*g), Msg::Txn(txn.clone()));
-        }
-        for (g, seq) in &state.unacked {
-            push(Chan::WhToMp(*g), Msg::Committed(*seq));
-        }
-
-        // Rows not yet covered by a commit, and the open-update window.
-        let mut uncovered: Vec<BTreeMap<UpdateId, ()>> = vec![BTreeMap::new(); groups];
-        for (g, list) in state.route_lists.iter().enumerate() {
-            for (id, _, _) in list {
-                uncovered[g].insert(*id, ());
-            }
-        }
-        for e in &state.commit_log {
-            for row in &e.rows {
-                uncovered[e.group].remove(row);
-            }
-        }
-        let mut still_open: BTreeMap<GlobalSeq, usize> = BTreeMap::new();
-        for (g, ids) in uncovered.iter().enumerate() {
-            for id in ids.keys() {
-                let seq = state.group_updates[g]
-                    .get(id)
-                    .copied()
-                    .expect("uncovered row was routed");
-                *still_open.entry(seq).or_insert(0) += 1;
-            }
-        }
-        for (seq, n) in still_open {
-            open_updates.insert(seq, Some(n));
-        }
-
-        // View managers come ready-made from the recovery scan: watermark
-        // kinds re-initialized at their durable AL watermark, delivery-
-        // replay kinds rebuilt from their logged event sequence.
-        let vms = std::mem::take(&mut state.vms);
-
-        let workload: VecDeque<DriverAction> =
-            remaining.into_iter().map(DriverAction::Txn).collect();
-
-        // Re-seed the MVCC read path at the recovered commit watermark:
-        // resumed sessions can only observe cuts from here forward, so
-        // watermark-0 fingerprints are needed only when nothing committed
-        // before the crash.
-        let base = state.warehouse.commit_count();
-        let initial_fingerprints = if base == 0 {
-            state.warehouse.initial_fingerprints()
-        } else {
-            BTreeMap::new()
-        };
-        let reader_views: Vec<ViewId> = state.warehouse.view_ids().collect();
-        let cuts = VersionedCuts::new();
-        cuts.seed(base, state.warehouse.read(&reader_views));
-        let reader_sessions: Vec<ReadSession> =
-            (0..config.readers).map(|_| cuts.open_session()).collect();
-
-        Ok(Sim {
-            rng: StdRng::seed_from_u64(config.seed),
-            last_processed_seq: state.last_logged_src,
-            cluster,
-            integrator: state.integrator,
-            vms,
-            mps: state.mps,
-            warehouse: state.warehouse,
-            channels,
-            workload,
-            reorder_buf: Vec::new(),
-            metrics: SimMetrics::default(),
-            obs: PipelineObs::new("steps"),
-            vm_pending: BTreeMap::new(),
-            al_recv: BTreeMap::new(),
-            group_updates: state.group_updates,
-            inject_steps: BTreeMap::new(),
-            uncovered,
-            release_steps: vec![BTreeMap::new(); groups],
-            guarantees: state.guarantees,
-            group_views: state.group_views,
-            commit_log: state.commit_log,
-            routed: state.routed,
-            open_updates,
-            install_specs: BTreeMap::new(),
-            install_rows: BTreeMap::new(),
-            activations: BTreeMap::new(),
-            wal: None,
-            commits_since_checkpoint: 0,
-            checkpoint_every: 0,
-            durable_routes: Vec::new(),
-            installed_rel: vec![UpdateId::ZERO; groups],
-            installed_al: BTreeMap::new(),
-            snapshot_logged: BTreeSet::new(),
-            // Durable (and therefore resumed) runs are always unsharded.
-            shard_state: None,
-            cuts,
-            reader_sessions,
-            reader_views,
-            read_observations: Vec::new(),
-            initial_fingerprints,
-            config,
-        })
     }
 }
 
@@ -2327,22 +1844,39 @@ mod tests {
         crate::oracle::Oracle::new(&report).unwrap().assert_ok();
     }
 
-    /// Sharded mode is in-memory only — durable configs are rejected
-    /// up front rather than silently losing the per-shard WAL streams.
+    /// Every combination the sim refuses is refused with the typed
+    /// `Unsupported` error. Sharded mode is in-memory only (a durable
+    /// config would silently lose the per-shard WAL streams) and has no
+    /// dynamic installs; neither has durable mode; and a §1.2 install
+    /// needs the single-merge deployment — that one is refused by the
+    /// integrator when the install reaches it, the rest at build time.
     #[test]
-    fn sim_sharded_rejects_durability() {
-        let dir = std::env::temp_dir().join(format!("mvc-shard-durable-{}", std::process::id()));
+    fn sim_refuses_unsupported_combinations() {
+        let dir = std::env::temp_dir().join(format!("mvc-sim-refusals-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let config = SimConfig {
-            seed: 0,
-            partition: true,
-            shards: 2,
-            durability: Some(DurabilityConfig::new(dir.join("w.wal"))),
-            ..SimConfig::default()
-        };
-        match sharded_builder(config).run() {
-            Err(SimError::Unsupported(_)) => {}
-            other => panic!("expected Unsupported, got {:?}", other.map(|_| ())),
+        // (what, partition, shards, durable, view_later)
+        let cases = [
+            ("sharded + durable", true, 2, true, false),
+            ("durable + view_later", false, 1, true, true),
+            ("sharded + view_later", true, 2, false, true),
+            ("partitioned + view_later", true, 1, false, true),
+        ];
+        for (what, partition, shards, durable, install) in cases {
+            let config = SimConfig {
+                partition,
+                shards,
+                durability: durable.then(|| DurabilityConfig::new(dir.join("w.wal"))),
+                ..SimConfig::default()
+            };
+            let mut b = sharded_builder(config);
+            if install {
+                let late = ViewDef::builder("V4").from("Q").build(b.catalog()).unwrap();
+                b = b.view_later(ViewId(4), late, ManagerKind::Complete, 1);
+            }
+            match b.run() {
+                Err(SimError::Unsupported(_)) => {}
+                other => panic!("{what}: expected Unsupported, got {:?}", other.map(|_| ())),
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

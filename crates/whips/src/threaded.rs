@@ -18,7 +18,7 @@
 //! increments it, each fully processed message decrements it *after* its
 //! outputs were sent, so counter == 0 means the pipeline is empty.
 
-use crate::integrator::Integrator;
+use crate::machine::{assemble, shard_stores, Assembly, SOURCE_CHECKPOINT_INTERVAL};
 use crate::metrics::SimMetrics;
 use crate::obs::PipelineObs;
 use crate::registry::{ManagerKind, ViewRegistry};
@@ -28,10 +28,7 @@ use crate::shard::{
 };
 use crate::sim::{CommitLogEntry, SimError, SimReport};
 use mvc_core::lock::AuditedMutex;
-use mvc_core::{
-    CommitPolicy, ConsistencyLevel, MergeAlgorithm, MergeProcess, MergeSnapshot, TxnSeq, UpdateId,
-    ViewId,
-};
+use mvc_core::{CommitPolicy, MergeAlgorithm, MergeSnapshot, TxnSeq, UpdateId, ViewId};
 use mvc_durability::{
     CheckpointState, CommitRecord, DurabilityConfig, FlushTicket, RoutedUpdate, WalRecord,
     WalWriter,
@@ -629,7 +626,7 @@ impl ThreadedBuilder {
     pub fn new(config: ThreadedConfig) -> Self {
         ThreadedBuilder {
             config,
-            cluster: SourceCluster::new(64),
+            cluster: SourceCluster::new(SOURCE_CHECKPOINT_INTERVAL),
             registry: ViewRegistry::new(),
             workload: Vec::new(),
         }
@@ -684,16 +681,29 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
         registry: reg,
         workload,
     } = b;
-    let mut partitioning = reg.partitioning(config.partition);
-    if let Some(cap) = config.groups {
-        partitioning = partitioning.coarsen(cap);
-    }
-    let groups = partitioning.group_count().max(1);
-    let mut group_views: Vec<BTreeSet<ViewId>> = vec![BTreeSet::new(); groups];
-    for id in reg.ids() {
-        let g = partitioning.group_of_view(id).unwrap_or(0);
-        group_views[g].insert(id);
-    }
+    // Every fallible step of deployment set-up (view-manager
+    // construction) happens here, BEFORE any worker exists: a `?` taken
+    // after the spawn loops start would leak every already-spawned thread
+    // (nothing would ever send them Stop). All-or-nothing construction
+    // keeps the unconditional shutdown below the only teardown path.
+    let Assembly {
+        mut integrator,
+        group_views,
+        mps,
+        guarantees,
+        vms,
+        warehouse,
+    } = assemble(
+        &reg,
+        config.partition,
+        config.groups,
+        config.algorithm,
+        config.commit_policy,
+        config.tuple_relevance,
+        config.record_snapshots,
+    )?;
+    let partitioning = integrator.partitioning().clone();
+    let groups = mps.len();
     // §6.1 scaled out: shards own disjoint subsets of merge groups (and
     // therefore disjoint view sets), each with its own commit plane.
     let topology = ShardTopology::new(groups, config.shards);
@@ -712,37 +722,24 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
     // Sharded stores never record snapshots: the post-run ticket merge
     // reconstructs the global history with full state vectors and the
     // snapshot column deliberately empty.
-    let record_snapshots = config.record_snapshots && !sharded;
-    let mut shard_whs: Vec<Warehouse> = (0..shards)
-        .map(|_| Warehouse::new(record_snapshots))
-        .collect();
-    let mut shard_views: Vec<Vec<ViewId>> = vec![Vec::new(); shards];
-    for e in reg.iter() {
-        let g = partitioning.group_of_view(e.id).unwrap_or(0);
-        let s = topology.shard_of(g);
-        shard_whs[s]
-            .register_view(
-                e.id,
-                e.def.name.clone(),
-                // Shares the definition's schema handle — no deep copy.
-                mvc_relational::Relation::shared(e.def.schema.clone()),
-            )
-            .expect("fresh warehouse");
-        shard_views[s].push(e.id);
-    }
+    let shard_whs = shard_stores(
+        &reg,
+        &partitioning,
+        &topology,
+        config.record_snapshots && !sharded,
+    );
+    let shard_views: Vec<Vec<ViewId>> = shard_whs.iter().map(|w| w.view_ids().collect()).collect();
     // MVCC read path: per-shard pre-commit fingerprints and a version
     // store per shard, seeded at watermark 0 with that shard's views.
-    // The global fingerprint vector is their disjoint union. Committers
-    // publish every commit's changed views under the same shard lock
-    // that serialized it.
+    // The global fingerprint vector (their disjoint union) comes from
+    // the assembled all-views store, which this runtime uses for
+    // nothing else. Committers publish every commit's changed views
+    // under the same shard lock that serialized it.
     let shard_initials: Vec<BTreeMap<ViewId, u64>> = shard_whs
         .iter()
         .map(Warehouse::initial_fingerprints)
         .collect();
-    let mut initial_fingerprints: BTreeMap<ViewId, u64> = BTreeMap::new();
-    for f in &shard_initials {
-        initial_fingerprints.extend(f.iter().map(|(k, v)| (*k, *v)));
-    }
+    let initial_fingerprints = warehouse.initial_fingerprints();
     let shard_cuts: Vec<mvc_readpath::VersionedCuts> = (0..shards)
         .map(|s| {
             let cuts = mvc_readpath::VersionedCuts::new();
@@ -883,16 +880,7 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
         mp_rxs.push(rx);
     }
 
-    // Build every view manager BEFORE the spawn loop: `build` is the
-    // only fallible step in view setup, and a `?` taken after workers
-    // exist would leak every already-spawned thread (nothing would ever
-    // send them Stop). All-or-nothing construction keeps the
-    // unconditional shutdown below the only teardown path.
-    let mut built_vms = Vec::new();
-    for e in reg.iter() {
-        built_vms.push((e.id, e.kind.build(e.id, e.def.clone())?));
-    }
-    for (id, mut vm) in built_vms {
+    for (id, mut vm) in vms {
         let (tx, rx) = crossbeam::channel::unbounded::<VmMsg>();
         vm_txs.insert(id, tx);
         let idle = Arc::new(AtomicBool::new(true));
@@ -1004,22 +992,7 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
         "whips.commit_stats",
         vec![mvc_core::CommitStats::default(); groups],
     ));
-    let mut guarantees = Vec::with_capacity(groups);
-    for (g, rx) in mp_rxs.into_iter().enumerate() {
-        let levels: Vec<(ViewId, ConsistencyLevel)> = reg
-            .levels()
-            .into_iter()
-            .filter(|(v, _)| group_views[g].contains(v))
-            .collect();
-        let mut mp = match config.algorithm {
-            Some(alg) => MergeProcess::<Delta>::new(
-                alg,
-                levels.iter().map(|(v, _)| *v),
-                config.commit_policy,
-            ),
-            None => MergeProcess::for_managers(levels, config.commit_policy),
-        };
-        guarantees.push(mp.guarantees());
+    for ((g, rx), mut mp) in mp_rxs.into_iter().enumerate().zip(mps) {
         // Paint transitions feed both the WAL and the HB audit.
         if !wals.is_empty() || cfg!(feature = "hb-audit") {
             mp.enable_paint_events();
@@ -1621,15 +1594,11 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
     let routing_state: Arc<AuditedMutex<Option<RoutingState>>> =
         Arc::new(AuditedMutex::new("whips.routing_state", None));
     {
+        // The assembled integrator carries the (possibly coarsened)
+        // partitioning computed above — NOT a re-derived one, or a
+        // `groups` cap would desynchronize routing from the per-group
+        // threads and the shard topology.
         let registry = reg.clone();
-        // The (possibly coarsened) partitioning computed above — NOT
-        // re-derived, or a `groups` cap would desynchronize routing
-        // from the per-group threads and the shard topology.
-        let mut integrator = Integrator::new(
-            registry.clone(),
-            partitioning.clone(),
-            config.tuple_relevance,
-        );
         let vm_txs = vm_txs.clone();
         let mp_txs = mp_txs.clone();
         let flight = flight.clone();

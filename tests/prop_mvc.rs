@@ -308,12 +308,12 @@ fn mixed_complete_strategies_body(
     Ok(())
 }
 
-/// Pinned literal replays of the two regression seeds recorded in
-/// `prop_mvc.proptest-regressions` (kept checked in alongside). The
-/// stored `cc` entries pin proptest's own RNG; these tests pin the
-/// *shrunk parameter values* directly against every property with a
-/// matching shape, so the cases re-run even under a proptest
-/// implementation that does not read regression files.
+/// Pinned literal replays of the two regression seeds upstream proptest
+/// once recorded in a `prop_mvc.proptest-regressions` file. That file is
+/// gone: its `cc` entries pinned proptest's own RNG, which the vendored
+/// proptest never reads. These tests pin the *shrunk parameter values*
+/// directly against every property with a matching shape instead, so
+/// the cases re-run under any proptest implementation.
 ///
 /// Determination (PR 1): the original failing workloads are not
 /// replayable here — the `cc` entries were recorded under upstream
@@ -322,8 +322,8 @@ fn mixed_complete_strategies_body(
 /// pass, and an exhaustive review of SPA/PA, the commit scheduler, the
 /// VUT, and the oracle's witness-cut check (plus 284k randomized sweep
 /// cases across every property family, see `fuzz_hunt`) surfaced no
-/// defect on either side. Both the `cc` entries and these literal pins
-/// stay checked in as regression tripwires.
+/// defect on either side. These literal pins stay checked in as
+/// regression tripwires.
 mod pinned_regressions {
     use super::*;
 
