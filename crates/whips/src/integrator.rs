@@ -7,9 +7,11 @@
 //! the painting algorithms need gapless `REL` streams.
 
 use crate::registry::{RelevanceIndex, ViewRegistry};
+use crate::transitions::WalSink;
 use mvc_core::{Partitioning, UpdateId, ViewId};
+use mvc_durability::{RoutedUpdate, WalError, WalRecord};
 use mvc_relational::RelationName;
-use mvc_source::SourceUpdate;
+use mvc_source::{GlobalSeq, SourceUpdate};
 use mvc_viewmgr::NumberedUpdate;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -24,7 +26,19 @@ pub struct GroupRouting {
     pub rel: BTreeSet<ViewId>,
 }
 
-/// The integrator state machine.
+/// The integrator's half of a checkpoint.
+pub struct RoutingSnapshot {
+    pub(crate) route_lists: Vec<RoutedUpdate>,
+    pub(crate) next_id: Vec<UpdateId>,
+    pub(crate) received: u64,
+    pub(crate) dropped: u64,
+    pub(crate) last_logged_src: GlobalSeq,
+    /// Every `SourceUpdate` logged before has a smaller index and is
+    /// covered by `route_lists`.
+    pub(crate) anchor: u64,
+}
+
+/// The integrator state machine, with its routing history.
 #[derive(Debug)]
 pub struct Integrator {
     registry: ViewRegistry,
@@ -42,6 +56,18 @@ pub struct Integrator {
     received: u64,
     /// Updates relevant to no view at all (stats — ref \[7\] wins).
     dropped: u64,
+    /// Per merge group: local update id → global commit seq, for every
+    /// update routed.
+    pub(crate) group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>>,
+    /// Every routing decision with its shared payload — a checkpoint's
+    /// self-contained routing history. `None` until a host that takes
+    /// checkpoints asks for it ([`Integrator::keep_checkpoint_state`]):
+    /// it grows with the run and keeps every payload alive.
+    durable_routes: Option<Vec<RoutedUpdate>>,
+    /// Seq of the last source update routed or dropped — with a log
+    /// attached, the last one durably logged. Also the initial-load cut
+    /// of a §1.2 install.
+    pub(crate) last_src: GlobalSeq,
 }
 
 impl Integrator {
@@ -60,6 +86,9 @@ impl Integrator {
             tuple_relevance,
             received: 0,
             dropped: 0,
+            group_updates: vec![BTreeMap::new(); groups.max(1)],
+            durable_routes: None,
+            last_src: GlobalSeq::INITIAL,
         }
     }
 
@@ -77,14 +106,6 @@ impl Integrator {
 
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The dynamic counters a checkpoint must carry: per-group next
-    /// update id plus the received/dropped totals. Everything else
-    /// (registry, partitioning, relevance index) is rebuilt from the
-    /// view definitions by the caller.
-    pub fn counters(&self) -> (Vec<UpdateId>, u64, u64) {
-        (self.next_id.clone(), self.received, self.dropped)
     }
 
     /// Restore checkpointed counters into a freshly built integrator
@@ -123,9 +144,10 @@ impl Integrator {
         Ok((g, c))
     }
 
-    /// Route one committed source update. Returns one entry per merge
-    /// group with a non-empty relevant set; an update relevant to nothing
-    /// returns an empty vec.
+    /// Route one committed source update, logging it first (log-ahead)
+    /// when `sink` has a log attached. Returns one entry per merge group
+    /// with a non-empty relevant set; an update relevant to nothing
+    /// returns an empty vec. Fanning the result out is the host's.
     ///
     /// Zero-copy: the payload arrives as a shared `Arc` and every
     /// per-group `NumberedUpdate` clones the handle only. Candidate views
@@ -133,7 +155,16 @@ impl Integrator {
     /// touched relation); the tuple-level test of ref \[7\] then runs
     /// per candidate directly on the delta, without materializing a
     /// tuple list.
-    pub fn route(&mut self, update: Arc<SourceUpdate>) -> Vec<GroupRouting> {
+    pub fn route<S: WalSink>(
+        &mut self,
+        update: Arc<SourceUpdate>,
+        sink: &mut S,
+    ) -> Result<Vec<GroupRouting>, WalError> {
+        if sink.attached() {
+            // Shares the routed payload's handle.
+            sink.append(&WalRecord::SourceUpdate(Arc::clone(&update)))?;
+        }
+        self.last_src = update.seq;
         self.received += 1;
         let mut rel_by_group: BTreeMap<usize, BTreeSet<ViewId>> = BTreeMap::new();
         for change in &update.changes {
@@ -158,6 +189,15 @@ impl Integrator {
         for (g, rel) in rel_by_group {
             let id = self.next_id[g].next();
             self.next_id[g] = id;
+            self.group_updates[g].insert(id, update.seq);
+            if let Some(routes) = &mut self.durable_routes {
+                routes.push(RoutedUpdate {
+                    group: g as u64,
+                    id,
+                    update: Arc::clone(&update),
+                    rel: rel.clone(),
+                });
+            }
             out.push(GroupRouting {
                 group: g,
                 numbered: NumberedUpdate {
@@ -170,7 +210,34 @@ impl Integrator {
         if out.is_empty() {
             self.dropped += 1;
         }
-        out
+        Ok(out)
+    }
+
+    /// Keep what [`Integrator::snapshot`] needs, from here on. For hosts
+    /// that take checkpoints, before the first update is routed.
+    pub fn keep_checkpoint_state(&mut self) {
+        self.durable_routes.get_or_insert_with(Vec::new);
+    }
+
+    /// Global seqs of every update routed to at least one group.
+    pub fn routed(&self) -> BTreeSet<GlobalSeq> {
+        let routed = self.group_updates.iter().flat_map(BTreeMap::values);
+        routed.copied().collect()
+    }
+
+    /// This component's checkpoint half — routing history plus the
+    /// dynamic counters; registry, partitioning and relevance index are
+    /// rebuilt from the view definitions — anchored at the sink's next
+    /// record.
+    pub fn snapshot<S: WalSink>(&self, sink: &S) -> RoutingSnapshot {
+        RoutingSnapshot {
+            route_lists: self.durable_routes.clone().unwrap_or_default(),
+            next_id: self.next_id.clone(),
+            received: self.received,
+            dropped: self.dropped,
+            last_logged_src: self.last_src,
+            anchor: sink.next_index(),
+        }
     }
 }
 
@@ -192,6 +259,12 @@ mod tests {
                 delta: d,
             }],
         }
+    }
+
+    /// Route with no log attached.
+    fn route(it: &mut Integrator, u: SourceUpdate) -> Vec<GroupRouting> {
+        it.route(Arc::new(u), &mut None::<mvc_durability::WalWriter>)
+            .unwrap()
     }
 
     fn setup(tuple_relevance: bool, partition: bool) -> Integrator {
@@ -228,7 +301,7 @@ mod tests {
     #[test]
     fn relation_level_routing() {
         let mut it = setup(false, false);
-        let r = it.route(Arc::new(update(1, "S", (2, 3))));
+        let r = route(&mut it, update(1, "S", (2, 3)));
         assert_eq!(r.len(), 1, "single group");
         assert_eq!(
             r[0].rel,
@@ -236,7 +309,7 @@ mod tests {
         );
         assert_eq!(r[0].numbered.id, UpdateId(1));
         // Q update → only V3; numbering continues in the same group space
-        let r2 = it.route(Arc::new(update(2, "Q", (1, 1))));
+        let r2 = route(&mut it, update(2, "Q", (1, 1)));
         assert_eq!(r2[0].rel, [ViewId(3)].into_iter().collect::<BTreeSet<_>>());
         assert_eq!(r2[0].numbered.id, UpdateId(2));
     }
@@ -246,11 +319,11 @@ mod tests {
         let mut it = setup(true, false);
         // R tuple with a=5 fails V1's selection a>10 → V1 not relevant;
         // R is not in any other view → update dropped entirely.
-        let r = it.route(Arc::new(update(1, "R", (5, 2))));
+        let r = route(&mut it, update(1, "R", (5, 2)));
         assert!(r.is_empty());
         assert_eq!(it.dropped(), 1);
         // a=11 passes
-        let r = it.route(Arc::new(update(2, "R", (11, 2))));
+        let r = route(&mut it, update(2, "R", (11, 2)));
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].rel, [ViewId(1)].into_iter().collect::<BTreeSet<_>>());
         assert_eq!(r[0].numbered.id, UpdateId(1), "dropped updates unnumbered");
@@ -262,17 +335,17 @@ mod tests {
         let g_rs = it.partitioning().group_of_view(ViewId(1)).unwrap();
         let g_q = it.partitioning().group_of_view(ViewId(3)).unwrap();
         assert_ne!(g_rs, g_q);
-        let r1 = it.route(Arc::new(update(1, "S", (2, 3))));
+        let r1 = route(&mut it, update(1, "S", (2, 3)));
         assert_eq!(r1[0].group, g_rs);
         assert_eq!(r1[0].numbered.id, UpdateId(1));
-        let r2 = it.route(Arc::new(update(2, "Q", (1, 1))));
+        let r2 = route(&mut it, update(2, "Q", (1, 1)));
         assert_eq!(r2[0].group, g_q);
         assert_eq!(
             r2[0].numbered.id,
             UpdateId(1),
             "each group numbers independently"
         );
-        let r3 = it.route(Arc::new(update(3, "S", (9, 9))));
+        let r3 = route(&mut it, update(3, "S", (9, 9)));
         assert_eq!(r3[0].numbered.id, UpdateId(2));
     }
 
@@ -297,7 +370,7 @@ mod tests {
                 },
             ],
         };
-        let r = it.route(Arc::new(u));
+        let r = route(&mut it, u);
         assert_eq!(r.len(), 2, "routed to both groups");
     }
 }

@@ -21,6 +21,7 @@ pub mod scenario;
 pub mod shard;
 pub mod sim;
 pub mod threaded;
+pub mod transitions;
 pub mod workload;
 
 pub use integrator::{GroupRouting, Integrator};

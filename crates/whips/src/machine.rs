@@ -6,8 +6,11 @@
 //! ordering guarantee — the paper's assumption that "messages from the
 //! same process must arrive in the order sent". [`Machine::enabled`]
 //! lists the [`Choice`]s open in the current state and [`Machine::step`]
-//! executes one, appending the transition's WAL record first (log-ahead)
-//! when a log is attached.
+//! executes one. What a component *does* when a message reaches it — its
+//! WAL record first (log-ahead), then its state change — is a transition
+//! of [`crate::transitions`], shared with the threaded runtime; the
+//! machine owns the FIFOs between the components and delivers what the
+//! transitions return.
 //!
 //! The machine owns no scheduler. The simulator (`crate::sim`) draws
 //! choices from a seeded lottery; the explorer (`mvc_analysis`)
@@ -26,16 +29,17 @@ use crate::obs::PipelineObs;
 use crate::registry::{ViewEntry, ViewRegistry};
 use crate::shard::ShardTopology;
 use crate::sim::{CommitLogEntry, SimError, SimReport, WorkloadTxn};
+use crate::transitions::{commit, MergePart, VmPart};
 use mvc_core::{
     CommitPolicy, ConsistencyLevel, MergeAlgorithm, MergeProcess, Partitioning, TxnSeq, UpdateId,
     ViewId,
 };
-use mvc_durability::{DurabilityConfig, WalRecord, WalWriter};
-use mvc_relational::{Delta, Relation, RelationName};
+use mvc_durability::{DurabilityConfig, WalWriter};
+use mvc_relational::{Relation, RelationName};
 use mvc_source::{GlobalSeq, SourceCluster, SourceUpdate};
 use mvc_viewmgr::{
-    answer_query, ActionListDelta, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken,
-    ViewManager, VmError, VmEvent, VmOutput,
+    answer_query, ActionListDelta, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, VmError,
+    VmEvent, VmOutput,
 };
 use mvc_warehouse::{StoreTxn, Warehouse};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -137,13 +141,26 @@ pub struct Assembly {
     /// Views of each merge group.
     pub group_views: Vec<BTreeSet<ViewId>>,
     /// One merge process per group.
-    pub mps: Vec<MergeProcess<Delta>>,
+    pub mps: Vec<MergePart>,
     /// MVC level each merge group guarantees (engine × commit policy).
     pub guarantees: Vec<ConsistencyLevel>,
-    pub vms: BTreeMap<ViewId, Box<dyn ViewManager>>,
+    pub vms: BTreeMap<ViewId, VmPart>,
     /// Every registered view, empty — the workload drives everything
     /// from `ss_0`.
     pub warehouse: Warehouse,
+}
+
+impl Assembly {
+    /// Have the components keep what their checkpoint snapshots need
+    /// (routing history, install watermarks, retained releases). A host
+    /// that takes checkpoints calls this before anything is delivered;
+    /// the others never pay for it.
+    pub fn keep_checkpoint_state(&mut self) {
+        self.integrator.keep_checkpoint_state();
+        self.mps
+            .iter_mut()
+            .for_each(MergePart::keep_checkpoint_state);
+    }
 }
 
 /// The one deployment assembly every runtime (and crash recovery) starts
@@ -168,25 +185,27 @@ pub fn assemble(
         group_views[partitioning.group_of_view(id).unwrap_or(0)].insert(id);
     }
     let mut mps = Vec::with_capacity(groups);
-    for views in &group_views {
+    for (g, views) in group_views.iter().enumerate() {
         let levels: Vec<(ViewId, ConsistencyLevel)> = registry
             .levels()
             .into_iter()
             .filter(|(v, _)| views.contains(v))
             .collect();
-        mps.push(match algorithm {
+        let mp = match algorithm {
             Some(alg) => MergeProcess::new(alg, levels.iter().map(|(v, _)| *v), commit_policy),
             None => MergeProcess::for_managers(levels, commit_policy),
-        });
+        };
+        mps.push(MergePart::new(g, mp));
     }
-    let mut vms: BTreeMap<ViewId, Box<dyn ViewManager>> = BTreeMap::new();
+    let mut vms = BTreeMap::new();
     for e in registry.iter() {
-        vms.insert(e.id, e.kind.build(e.id, e.def.clone())?);
+        let vm = e.kind.build(e.id, e.def.clone())?;
+        vms.insert(e.id, VmPart::new(e.id, vm, e.kind.needs_delivery_replay()));
     }
     Ok(Assembly {
         integrator: Integrator::new(registry.clone(), partitioning, tuple_relevance),
         warehouse: fresh_warehouse(registry.iter(), record_snapshots),
-        guarantees: mps.iter().map(MergeProcess::guarantees).collect(),
+        guarantees: mps.iter().map(|m| m.mp.guarantees()).collect(),
         group_views,
         mps,
         vms,
@@ -294,16 +313,11 @@ pub struct Machine<D> {
     reorder_depth: Option<usize>,
     pub(crate) reorder_buf: Vec<(usize, StoreTxn)>,
     pub(crate) metrics: SimMetrics,
-    /// Per merge group: local update id → global commit seq, for every
-    /// update the integrator routed.
-    pub(crate) group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>>,
     /// Aligned 1:1 with `warehouse.history()`.
     pub(crate) commit_log: Vec<CommitLogEntry>,
-    /// Write-ahead log (durable mode only).
+    /// Write-ahead log (durable mode only): the sink every transition
+    /// logs to. An append error stops the run.
     pub(crate) wal: Option<WalWriter>,
-    /// Views whose manager kind needs delivery-replay recovery: every
-    /// event delivered to them is logged as a `Vm*Delivered` record.
-    log_deliveries: BTreeSet<ViewId>,
     pub(crate) driver: D,
 }
 
@@ -325,23 +339,19 @@ impl<D: Driver> Machine<D> {
             reorder_depth,
             reorder_buf: Vec::new(),
             metrics: SimMetrics::default(),
-            group_updates: vec![BTreeMap::new(); parts.mps.len()],
             parts,
             commit_log: Vec::new(),
             wal: None,
-            log_deliveries: BTreeSet::new(),
             driver,
         }
     }
 
     /// Journal every protocol event from here on. Delivery-replay manager
     /// kinds (Strobe/Convergent) need their full event history from
-    /// genesis, so their presence turns delivery logging on and pins
-    /// every segment (compaction off).
+    /// genesis, so their presence pins every segment (compaction off).
     pub fn attach_wal(&mut self, config: &DurabilityConfig) -> Result<(), SimError> {
         let mut wal = WalWriter::create(config)?;
-        self.log_deliveries = self.parts.integrator.registry().delivery_replay_views();
-        if !self.log_deliveries.is_empty() {
+        if self.parts.vms.values().any(VmPart::replays) {
             wal.set_compaction(false);
         }
         self.wal = Some(wal);
@@ -402,8 +412,8 @@ impl<D: Driver> Machine<D> {
     /// still hold transactions.)
     pub fn quiescent(&self) -> bool {
         self.channels.values().all(VecDeque::is_empty)
-            && self.parts.vms.values().all(|v| v.is_idle())
-            && self.parts.mps.iter().all(MergeProcess::is_quiescent)
+            && self.parts.vms.values().all(|v| v.vm.is_idle())
+            && self.parts.mps.iter().all(|m| m.mp.is_quiescent())
             && self.reorder_buf.is_empty()
     }
 
@@ -419,15 +429,6 @@ impl<D: Driver> Machine<D> {
 
     fn emit(&mut self, event: Event<'_>) -> Result<(), SimError> {
         D::on(self, event)
-    }
-
-    /// Append one WAL record (no-op without a log). An injected crash
-    /// point surfaces as `SimError::Wal(WalError::CrashPoint)`.
-    pub(crate) fn log(&mut self, rec: &WalRecord) -> Result<(), SimError> {
-        if let Some(w) = self.wal.as_mut() {
-            w.append(rec)?;
-        }
-        Ok(())
     }
 
     pub(crate) fn send(&mut self, chan: ChanId, msg: Msg) -> Result<(), SimError> {
@@ -470,26 +471,10 @@ impl<D: Driver> Machine<D> {
             }
             (ChanId::SrcToInt, Msg::InstallView(entry)) => self.emit(Event::Install(&entry)),
             (ChanId::IntToVm(v), Msg::Update(u)) => {
-                // Delivery-replay managers log every delivered event
-                // (log-ahead, like every other record) so recovery can
-                // re-run their exact input sequence.
-                if self.log_deliveries.contains(&v) {
-                    self.log(&WalRecord::VmUpdateDelivered { view: v, id: u.id })?;
-                }
                 self.emit(Event::VmUpdate(v, u.id))?;
                 self.vm_event(v, VmEvent::Update(u))
             }
             (ChanId::IntToVm(v), Msg::Answer(token, answer)) => {
-                if self.log_deliveries.contains(&v) {
-                    // By value: re-asking the sources post-crash would
-                    // observe a different state than the manager
-                    // compensated for.
-                    self.log(&WalRecord::VmAnswerDelivered {
-                        view: v,
-                        token,
-                        answer: answer.clone(),
-                    })?;
-                }
                 self.vm_event(v, VmEvent::Answer { token, answer })
             }
             (ChanId::IntToVm(v), Msg::Flush) => self.flush_vm(v),
@@ -502,7 +487,7 @@ impl<D: Driver> Machine<D> {
                 self.send(ChanId::SrcToInt, Msg::AnswerFor(v, token, answer))
             }
             (ChanId::IntToMp(g), Msg::AddView(v)) => {
-                self.parts.mps[g].add_view(v);
+                self.parts.mps[g].mp.add_view(v);
                 Ok(())
             }
             (ChanId::IntToMp(g), Msg::Rel(id, rel)) => self.install_rel(g, id, rel),
@@ -511,12 +496,8 @@ impl<D: Driver> Machine<D> {
             (ChanId::VmToMp(v), Msg::Action(al)) => self.install_action(self.group_of_view(v), al),
             (ChanId::MpToWh(g), Msg::Txn(txn)) => self.commit_or_buffer(g, txn),
             (ChanId::WhToMp(g), Msg::Committed(seq)) => {
-                self.log(&WalRecord::CommitAcked {
-                    group: g as u64,
-                    seq,
-                })?;
-                let released = self.parts.mps[g].on_committed(seq);
-                self.release(g, released)
+                let out = self.parts.mps[g].on_committed(seq, &mut self.wal)?;
+                self.release(g, out.released)
             }
             (c, m) => Err(SimError::Unsupported(format!(
                 "message {m:?} on channel {c:?}"
@@ -528,13 +509,9 @@ impl<D: Driver> Machine<D> {
     /// fan out.
     fn route(&mut self, u: Arc<SourceUpdate>) -> Result<(), SimError> {
         let seq = u.seq;
-        if self.wal.is_some() {
-            self.log(&WalRecord::SourceUpdate(Arc::clone(&u)))?;
-        }
-        let routings = self.parts.integrator.route(u);
+        let routings = self.parts.integrator.route(u, &mut self.wal)?;
         self.emit(Event::Routed(seq, &routings))?;
         for r in routings {
-            self.group_updates[r.group].insert(r.numbered.id, r.numbered.seq());
             self.send(
                 ChanId::IntToMp(r.group),
                 Msg::Rel(r.numbered.id, r.rel.clone()),
@@ -555,7 +532,7 @@ impl<D: Driver> Machine<D> {
             .vms
             .get_mut(&v)
             .expect("known view")
-            .handle(event)?;
+            .deliver(event, &mut self.wal)?;
         for o in outs {
             match o {
                 VmOutput::Action(al) => {
@@ -573,16 +550,13 @@ impl<D: Driver> Machine<D> {
     /// Flush one view manager (batching managers emit what they hold;
     /// convergent managers run their correction pass).
     pub fn flush_vm(&mut self, v: ViewId) -> Result<(), SimError> {
-        if self.log_deliveries.contains(&v) {
-            self.log(&WalRecord::VmFlushDelivered { view: v })?;
-        }
         self.vm_event(v, VmEvent::Flush)
     }
 
     /// Flush one merge process, forwarding whatever it releases.
     pub fn flush_merge(&mut self, g: usize) -> Result<(), SimError> {
-        let released = self.parts.mps[g].flush();
-        self.release(g, released)
+        let out = self.parts.mps[g].flush(&mut self.wal)?;
+        self.release(g, out.released)
     }
 
     fn install_rel(
@@ -591,41 +565,20 @@ impl<D: Driver> Machine<D> {
         id: UpdateId,
         rel: BTreeSet<ViewId>,
     ) -> Result<(), SimError> {
-        if self.wal.is_some() {
-            self.log(&WalRecord::RelInstalled {
-                group: g as u64,
-                id,
-                rel: rel.clone(),
-            })?;
-        }
-        let released = self.parts.mps[g].on_rel(id, rel)?;
+        let out = self.parts.mps[g].on_rel(id, rel, &mut self.wal)?;
         self.emit(Event::RelInstalled(g, id))?;
-        self.release(g, released)
+        self.release(g, out.released)
     }
 
     fn install_action(&mut self, g: usize, al: ActionListDelta) -> Result<(), SimError> {
-        if self.wal.is_some() {
-            self.log(&WalRecord::ActionInstalled {
-                group: g as u64,
-                al: al.clone(),
-            })?;
-        }
         let (view, last) = (al.view, al.last);
-        let released = self.parts.mps[g].on_action(al)?;
+        let out = self.parts.mps[g].on_action(al, &mut self.wal)?;
         self.emit(Event::ActionInstalled(g, view, last))?;
-        self.release(g, released)
+        self.release(g, out.released)
     }
 
     fn release(&mut self, g: usize, released: Vec<StoreTxn>) -> Result<(), SimError> {
         for t in released {
-            if self.wal.is_some() {
-                // Full payload: a txn released before a checkpoint but
-                // committed after it cannot be regenerated by tail replay.
-                self.log(&WalRecord::GroupReleased {
-                    group: g as u64,
-                    txn: t.clone(),
-                })?;
-            }
             self.emit(Event::Released(g, &t))?;
             self.send(ChanId::MpToWh(g), Msg::Txn(t))?;
         }
@@ -655,20 +608,14 @@ impl<D: Driver> Machine<D> {
     }
 
     fn commit(&mut self, g: usize, txn: StoreTxn) -> Result<(), SimError> {
-        let seq = txn.seq;
-        self.log(&WalRecord::TxnCommitted {
-            group: g as u64,
-            seq,
-        })?;
-        self.parts.warehouse.apply(&txn)?;
-        self.commit_log.push(CommitLogEntry {
-            group: g,
-            seq,
-            rows: txn.rows.clone(),
-            views: txn.views.clone(),
-        });
+        commit(
+            &mut self.parts.warehouse,
+            &mut self.commit_log,
+            std::iter::once((g, &txn)),
+            &mut self.wal,
+        )?;
         self.metrics.commits += 1;
-        self.send(ChanId::WhToMp(g), Msg::Committed(seq))?;
+        self.send(ChanId::WhToMp(g), Msg::Committed(txn.seq))?;
         self.emit(Event::Committed(g, &txn))
     }
 
@@ -683,19 +630,15 @@ impl<D: Driver> Machine<D> {
         }
         let parts = self.parts;
         let report = SimReport {
-            merge_stats: parts.mps.iter().map(MergeProcess::stats).collect(),
-            commit_stats: parts.mps.iter().map(MergeProcess::commit_stats).collect(),
+            merge_stats: parts.mps.iter().map(|m| m.mp.stats()).collect(),
+            commit_stats: parts.mps.iter().map(|m| m.mp.commit_stats()).collect(),
             // Every routed update got a row in some group.
-            routed: self
-                .group_updates
-                .iter()
-                .flat_map(|g| g.values().copied())
-                .collect(),
+            routed: parts.integrator.routed(),
             cluster: self.cluster,
             warehouse: parts.warehouse,
             registry: parts.integrator.registry().clone(),
             partitioning: parts.integrator.partitioning().clone(),
-            group_updates: self.group_updates,
+            group_updates: parts.integrator.group_updates,
             metrics: self.metrics,
             guarantees: parts.guarantees,
             group_views: parts.group_views,

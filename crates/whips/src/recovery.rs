@@ -36,9 +36,10 @@
 use crate::machine::{assemble, Assembly, ChanId, Msg};
 use crate::registry::ViewRegistry;
 use crate::sim::{CommitLogEntry, Sim, SimConfig, SimError, SimReport, WorkloadTxn};
+use crate::transitions::MergePart;
 use mvc_core::{MergeProcess, TxnSeq, UpdateId, ViewId};
-use mvc_durability::{WalError, WalReader, WalRecord};
-use mvc_source::{GlobalSeq, SourceCluster, SourceUpdate};
+use mvc_durability::{WalError, WalReader, WalRecord, WalWriter};
+use mvc_source::{SourceCluster, SourceUpdate};
 use mvc_viewmgr::{
     ActionListDelta, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, VmEvent, VmOutput,
 };
@@ -118,15 +119,14 @@ impl From<SimError> for RecoveryError {
 /// Everything the scan reconstructs; consumed by `Sim::resume`.
 pub(crate) struct RecoveredState {
     /// The deployment's components as the crash left them: integrator
-    /// counters, engines and warehouse restored from the newest
+    /// counters and routing map (with the seq of the last `SourceUpdate`
+    /// record in the log), engines and warehouse restored from the newest
     /// checkpoint (if any) and rolled forward over the log tail; view
     /// managers of watermark kinds re-initialized at their install
     /// watermark, of delivery-replay kinds rebuilt from their logged
     /// event sequence.
     pub(crate) assembly: Assembly,
     pub(crate) commit_log: Vec<CommitLogEntry>,
-    /// Per group: local id → global seq, for every routed update.
-    pub(crate) group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>>,
     /// Per group, in arrival (= id) order: every routing decision.
     pub(crate) route_lists: Vec<Vec<(UpdateId, NumberedUpdate, BTreeSet<ViewId>)>>,
     /// Per group: highest REL id durably delivered to the engine.
@@ -137,8 +137,6 @@ pub(crate) struct RecoveredState {
     pub(crate) pending: BTreeMap<(usize, TxnSeq), StoreTxn>,
     /// Committed but not acknowledged back to the scheduler.
     pub(crate) unacked: Vec<(usize, TxnSeq)>,
-    /// Seq of the last `SourceUpdate` record in the log.
-    pub(crate) last_logged_src: GlobalSeq,
     /// Views recovered by delivery replay (their update re-enqueue is
     /// filtered by the `delivered` sets, not by an AL watermark).
     pub(crate) replayed_views: BTreeSet<ViewId>,
@@ -160,7 +158,7 @@ impl RecoveredState {
         &self,
         cluster: &'a SourceCluster,
     ) -> impl Iterator<Item = &'a SourceUpdate> {
-        let after = self.last_logged_src;
+        let after = self.assembly.integrator.last_src;
         cluster.history().iter().filter(move |u| u.seq > after)
     }
 
@@ -296,13 +294,11 @@ fn rebuild(
     // replay anchors — seeded from the newest checkpoint when one exists.
     let mut route_lists: Vec<Vec<(UpdateId, NumberedUpdate, BTreeSet<ViewId>)>> =
         vec![Vec::new(); groups];
-    let mut group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>> = vec![BTreeMap::new(); groups];
     let mut installed_rel = vec![UpdateId::ZERO; groups];
     let mut installed_al: BTreeMap<ViewId, UpdateId> = BTreeMap::new();
     let mut pending: BTreeMap<(usize, TxnSeq), StoreTxn> = BTreeMap::new();
     let mut committed: BTreeSet<(usize, TxnSeq)> = BTreeSet::new();
     let mut unacked_set: BTreeSet<(usize, TxnSeq)> = BTreeSet::new();
-    let mut last_logged_src = GlobalSeq::INITIAL;
     let mut merge_anchors = vec![0u64; groups];
     let mut routing_anchor = 0u64;
 
@@ -320,7 +316,8 @@ fn rebuild(
             .merges
             .iter()
             .cloned()
-            .map(MergeProcess::from_snapshot)
+            .enumerate()
+            .map(|(g, s)| MergePart::new(g, MergeProcess::from_snapshot(s)))
             .collect();
         assembly.warehouse = Warehouse::restore(ck.warehouse.clone());
         commit_log = ck
@@ -345,7 +342,7 @@ fn rebuild(
                 id: r.id,
                 update: Arc::clone(&r.update),
             };
-            group_updates[g].insert(r.id, numbered.seq());
+            assembly.integrator.group_updates[g].insert(r.id, numbered.seq());
             route_lists[g].push((r.id, numbered, r.rel.clone()));
         }
         for (g, w) in ck.installed_rel.iter().enumerate().take(groups) {
@@ -363,7 +360,7 @@ fn rebuild(
         for e in &commit_log {
             committed.insert((e.group, e.seq));
         }
-        last_logged_src = ck.last_logged_src;
+        assembly.integrator.last_src = ck.last_logged_src;
         for (g, a) in ck.merge_anchors.iter().enumerate().take(groups) {
             merge_anchors[g] = *a;
         }
@@ -388,12 +385,10 @@ fn rebuild(
                 // Records below the routing anchor are already inside the
                 // checkpoint's route lists and counters.
                 if idx >= routing_anchor {
-                    last_logged_src = u.seq;
-                    // seal: WAL replay deep-copies the logged update once
-                    // to re-number it; recovery is off the hot path by
-                    // definition
-                    for r in integrator.route(u.clone()) {
-                        group_updates[r.group].insert(r.numbered.id, r.numbered.seq());
+                    // seal: WAL replay re-numbers the logged update through
+                    // the integrator's own transition (no sink: the resumed
+                    // run does not re-log), sharing the record's handle
+                    for r in integrator.route(u.clone(), &mut None::<WalWriter>)? {
                         route_lists[r.group].push((r.numbered.id, r.numbered, r.rel));
                     }
                 }
@@ -402,7 +397,7 @@ fn rebuild(
                 let g = *group as usize;
                 if idx >= merge_anchors[g] {
                     installed_rel[g] = installed_rel[g].max(*id);
-                    let released = mps[g].on_rel(*id, rel.clone()).map_err(SimError::from)?;
+                    let released = mps[g].mp.on_rel(*id, rel.clone()).map_err(SimError::from)?;
                     stash(&mut pending, g, released);
                 }
             }
@@ -411,7 +406,7 @@ fn rebuild(
                 if idx >= merge_anchors[g] {
                     let w = installed_al.entry(al.view).or_insert(UpdateId::ZERO);
                     *w = (*w).max(al.last);
-                    let released = mps[g].on_action(al.clone()).map_err(SimError::from)?;
+                    let released = mps[g].mp.on_action(al.clone()).map_err(SimError::from)?;
                     stash(&mut pending, g, released);
                 }
             }
@@ -447,7 +442,7 @@ fn rebuild(
                 let g = *group as usize;
                 unacked_set.remove(&(g, *seq));
                 if idx >= merge_anchors[g] {
-                    let released = mps[g].on_committed(*seq);
+                    let released = mps[g].mp.on_committed(*seq);
                     stash(&mut pending, g, released);
                 }
             }
@@ -487,7 +482,7 @@ fn rebuild(
     let mut vm_requeue_queries: Vec<(ViewId, QueryToken, QueryRequest)> = Vec::new();
     for e in registry.iter() {
         let g = integrator.partitioning().group_of_view(e.id).unwrap_or(0);
-        let vm = vms.get_mut(&e.id).expect("assembled from this registry");
+        let vm = &mut vms.get_mut(&e.id).expect("assembled from this registry").vm;
         let watermark = installed_al.get(&e.id).copied().unwrap_or(zero);
         if replayed_views.contains(&e.id) {
             let by_id: BTreeMap<UpdateId, usize> = route_lists[g]
@@ -532,7 +527,7 @@ fn rebuild(
                 vm_requeue_queries.push((e.id, token, request));
             }
         } else if watermark > zero {
-            let cut = group_updates[g]
+            let cut = integrator.group_updates[g]
                 .get(&watermark)
                 .copied()
                 .expect("AL watermark maps to a routed update");
@@ -544,13 +539,11 @@ fn rebuild(
     Ok(RecoveredState {
         assembly,
         commit_log,
-        group_updates,
         route_lists,
         installed_rel,
         installed_al,
         pending,
         unacked,
-        last_logged_src,
         replayed_views,
         delivered,
         vm_requeue_actions,

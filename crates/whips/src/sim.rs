@@ -31,13 +31,12 @@ use crate::registry::{ManagerKind, ViewEntry, ViewRegistry};
 use crate::shard::{
     remap_observations, ReadFrontier, ShardPlane, ShardReport, ShardTopology, ShardWatermarks,
 };
+use crate::transitions::{checkpoint_record, commit, VmPart, WalSink};
 use mvc_core::{
-    CommitPolicy, CommitStats, ConsistencyLevel, MergeAlgorithm, MergeError, MergeProcess,
-    MergeStats, Partitioning, TxnSeq, UpdateId, ViewId,
+    CommitPolicy, CommitStats, ConsistencyLevel, MergeAlgorithm, MergeError, MergeStats,
+    Partitioning, TxnSeq, UpdateId, ViewId,
 };
-use mvc_durability::{
-    CheckpointState, CommitRecord, DurabilityConfig, RoutedUpdate, WalError, WalRecord,
-};
+use mvc_durability::{DurabilityConfig, WalError, WalWriter};
 use mvc_readpath::{ReadObservation, ReadSession, VersionedCuts};
 use mvc_relational::{Delta, EvalError, RelationName, Schema, ViewDef};
 use mvc_source::{GlobalSeq, SourceCluster, SourceError, SourceId, SourceUpdate, WriteOp};
@@ -566,9 +565,6 @@ pub(crate) struct SimDriver {
     install_rows: BTreeMap<UpdateId, (ViewId, GlobalSeq)>,
     /// View activations: view → (commit index, initial-load cut seq).
     activations: BTreeMap<ViewId, (usize, GlobalSeq)>,
-    /// Seq of the last source update processed by the integrator
-    /// (routed or dropped) — the initial-load cut for installs.
-    last_processed_seq: GlobalSeq,
     /// Per-stage pipeline observability (virtual-step unit).
     obs: PipelineObs,
     /// Update arrival step at each VM, keyed (view, update) — drives the
@@ -590,13 +586,6 @@ pub(crate) struct SimDriver {
     commits_since_checkpoint: u64,
     /// Checkpoint cadence from the durability config (0 = never).
     checkpoint_every: u64,
-    /// Durable mode: every routing decision with its shared payload —
-    /// the checkpoint's self-contained routing history.
-    durable_routes: Vec<RoutedUpdate>,
-    /// Durable mode: per-group highest REL id delivered to the engine.
-    installed_rel: Vec<UpdateId>,
-    /// Durable mode: per-view highest `AL.last` delivered to the engine.
-    installed_al: BTreeMap<ViewId, UpdateId>,
     /// MVCC version store: every commit publishes its changed views here.
     cuts: VersionedCuts,
     /// Reader workload sessions (scheduler participants).
@@ -628,7 +617,6 @@ impl SimDriver {
             installs: VecDeque::new(),
             install_rows: BTreeMap::new(),
             activations: BTreeMap::new(),
-            last_processed_seq: GlobalSeq::INITIAL,
             obs: PipelineObs::new("steps"),
             vm_pending: BTreeMap::new(),
             al_recv: BTreeMap::new(),
@@ -638,9 +626,6 @@ impl SimDriver {
             open_updates: BTreeMap::new(),
             commits_since_checkpoint: 0,
             checkpoint_every: 0,
-            durable_routes: Vec::new(),
-            installed_rel: vec![UpdateId::ZERO; groups],
-            installed_al: BTreeMap::new(),
             reader_sessions: (0..readers).map(|_| cuts.open_session()).collect(),
             cuts,
             reader_views,
@@ -686,19 +671,10 @@ impl Driver for SimDriver {
                     d.obs.vm_compute.record(step.saturating_sub(arrived));
                 }
             }
-            Event::RelInstalled(g, id) => {
-                if m.wal.is_some() {
-                    d.installed_rel[g] = d.installed_rel[g].max(id);
-                }
-                return m.after_merge(g);
-            }
+            Event::RelInstalled(g, _) => m.sample_vut(g),
             Event::ActionInstalled(g, view, last) => {
                 d.al_recv.insert((g, view, last), step);
-                if m.wal.is_some() {
-                    let w = d.installed_al.entry(view).or_insert(UpdateId::ZERO);
-                    *w = (*w).max(last);
-                }
-                return m.after_merge(g);
+                m.sample_vut(g);
             }
             Event::Released(g, t) => {
                 for a in &t.actions {
@@ -756,7 +732,6 @@ impl Machine<SimDriver> {
 
     fn note_routing(&mut self, seq: GlobalSeq, routings: &[GroupRouting]) {
         let d = &mut self.driver;
-        d.last_processed_seq = seq;
         if routings.is_empty() {
             // irrelevant everywhere: closes immediately
             d.open_updates.remove(&seq);
@@ -765,40 +740,14 @@ impl Machine<SimDriver> {
         }
         for r in routings {
             d.uncovered[r.group].insert(r.numbered.id);
-            if self.wal.is_some() {
-                // Mirror of the WAL's routing stream, kept so the
-                // next checkpoint is self-contained (shares the
-                // payload Arc — no tuple copies).
-                d.durable_routes.push(RoutedUpdate {
-                    group: r.group as u64,
-                    id: r.numbered.id,
-                    update: Arc::clone(&r.numbered.update),
-                    rel: r.rel.clone(),
-                });
-            }
         }
     }
 
-    /// After group `g`'s engine consumed a REL or an AL: sample the VUT,
-    /// and drain the paint transitions out of the engine into the audit
-    /// trail (recovery never replays these).
-    fn after_merge(&mut self, g: usize) -> Result<(), SimError> {
-        let rows = self.parts.mps[g].live_rows() as u64;
+    /// Sample the VUT after group `g`'s engine consumed a REL or an AL.
+    fn sample_vut(&mut self, g: usize) {
+        let rows = self.parts.mps[g].mp.live_rows() as u64;
         self.metrics.vut_occupancy.record(rows);
         self.driver.obs.vut_occupancy.record(rows);
-        if self.wal.is_none() {
-            return Ok(());
-        }
-        for e in self.parts.mps[g].take_paint_events() {
-            self.log(&WalRecord::Paint {
-                group: g as u64,
-                update: e.update,
-                view: e.view,
-                color: e.color,
-                state: e.state,
-            })?;
-        }
-        Ok(())
     }
 
     /// Read-path publication, shard twin, and step-unit metrics of one
@@ -821,14 +770,12 @@ impl Machine<SimDriver> {
         if let Some(ss) = d.shard_state.as_mut() {
             let s = ss.topology.shard_of(g);
             let t = &mut ss.twins[s];
-            let local = t.warehouse.apply(txn)?.commit_index;
+            // The twin plane keeps no log of its own.
+            let twin_log = &mut None::<WalWriter>;
+            let run = std::iter::once((g, txn));
+            commit(&mut t.warehouse, &mut t.commit_log, run, twin_log)?;
+            let local = t.warehouse.commit_count();
             t.cuts.publish(local, t.warehouse.read(&changed));
-            t.commit_log.push(CommitLogEntry {
-                group: g,
-                seq,
-                rows: txn.rows.clone(),
-                views: txn.views.clone(),
-            });
             t.local_to_global.push(watermark);
             ss.watermarks.publish(s, local);
         }
@@ -845,7 +792,8 @@ impl Machine<SimDriver> {
         // drain the gap shrinks to zero by construction and would skew
         // the measure.
         if !draining {
-            if let Some(&frontier_seq) = self.group_updates[g].get(&txn.frontier) {
+            let frontier = self.parts.integrator.group_updates[g].get(&txn.frontier);
+            if let Some(&frontier_seq) = frontier {
                 let staleness = self.cluster.latest_seq().0.saturating_sub(frontier_seq.0);
                 self.metrics.staleness_updates.record(staleness);
             }
@@ -855,7 +803,7 @@ impl Machine<SimDriver> {
             if !d.uncovered[g].remove(row) {
                 continue;
             }
-            let Some(&seq_of_row) = self.group_updates[g].get(row) else {
+            let Some(&seq_of_row) = self.parts.integrator.group_updates[g].get(row) else {
                 continue;
             };
             if let Some(&inj) = d.inject_steps.get(&seq_of_row) {
@@ -891,62 +839,27 @@ impl Machine<SimDriver> {
     /// what licenses the WAL to compact segments below its anchor. On
     /// this single-threaded runtime every logged record's transition has
     /// been applied by now, so all anchors sit at the checkpoint record's
-    /// own index.
+    /// own index; and every released transaction still on an MP→WH queue
+    /// (or in the chaos reorder buffer) or whose ack is still on WH→MP is
+    /// exactly what its merge part retains.
     fn maybe_checkpoint(&mut self) -> Result<(), SimError> {
         let d = &mut self.driver;
-        let Some(wal) = self.wal.as_ref().filter(|_| d.checkpoint_every > 0) else {
+        if !self.wal.attached() || d.checkpoint_every == 0 {
             return Ok(());
-        };
+        }
         d.commits_since_checkpoint += 1;
         if d.commits_since_checkpoint < d.checkpoint_every {
             return Ok(());
         }
         d.commits_since_checkpoint = 0;
-        // In-flight transactions, read off the channel queues exactly: a
-        // released-but-uncommitted txn sits on an MP→WH queue (or in the
-        // chaos reorder buffer), a committed-but-unacked ack on WH→MP.
-        let mut pending: Vec<(u64, StoreTxn)> = Vec::new();
-        let mut unacked: Vec<(u64, TxnSeq)> = Vec::new();
-        for (chan, q) in &self.channels {
-            for m in q {
-                match (chan, m) {
-                    (ChanId::MpToWh(g), Msg::Txn(t)) => pending.push((*g as u64, t.clone())),
-                    (ChanId::WhToMp(g), Msg::Committed(s)) => unacked.push((*g as u64, *s)),
-                    _ => {}
-                }
-            }
-        }
-        for (g, t) in &self.reorder_buf {
-            pending.push((*g as u64, t.clone()));
-        }
-        let (next_id, received, dropped) = self.parts.integrator.counters();
-        let anchor = wal.next_index();
-        let ck = CheckpointState {
-            warehouse: self.parts.warehouse.snapshot(),
-            merges: self.parts.mps.iter().map(MergeProcess::snapshot).collect(),
-            commit_log: self
-                .commit_log
-                .iter()
-                .map(|e| CommitRecord {
-                    group: e.group as u64,
-                    seq: e.seq,
-                    rows: e.rows.clone(),
-                    views: e.views.clone(),
-                })
-                .collect(),
-            route_lists: d.durable_routes.clone(),
-            installed_rel: d.installed_rel.clone(),
-            installed_al: d.installed_al.iter().map(|(&v, &w)| (v, w)).collect(),
-            pending,
-            unacked,
-            last_logged_src: d.last_processed_seq,
-            next_id,
-            received,
-            dropped,
-            merge_anchors: vec![anchor; self.parts.mps.len()],
-            routing_anchor: anchor,
-        };
-        self.log(&WalRecord::Checkpoint(Box::new(ck)))
+        let merges = self.parts.mps.iter().map(|m| m.snapshot(&self.wal));
+        let ck = checkpoint_record(
+            self.parts.integrator.snapshot(&self.wal),
+            merges.collect(),
+            &self.parts.warehouse,
+            &self.commit_log,
+        );
+        Ok(self.wal.append(&ck)?)
     }
 
     /// §1.2 dynamic view installation, processed by the integrator at a
@@ -957,13 +870,16 @@ impl Machine<SimDriver> {
             .integrator
             .install_view(spec.id, spec.def.clone(), spec.kind)
             .map_err(SimError::Unsupported)?;
-        let cut_seq = self.driver.last_processed_seq;
+        let cut_seq = self.parts.integrator.last_src;
 
         // New view manager (state loaded at the cut) and an empty
         // warehouse slot (the install AL fills it transactionally).
         let mut vm = spec.kind.build(spec.id, spec.def.clone())?;
         vm.initialize(&self.cluster.as_of(cut_seq))?;
-        self.parts.vms.insert(spec.id, vm);
+        let replay = spec.kind.needs_delivery_replay();
+        self.parts
+            .vms
+            .insert(spec.id, VmPart::new(spec.id, vm, replay));
         self.parts.warehouse.register_view(
             spec.id,
             spec.def.name.clone(),
@@ -1079,9 +995,12 @@ impl Sim {
         if let Some(d) = &c.durability {
             m.attach_wal(d)?;
             m.driver.checkpoint_every = d.checkpoint_every;
+            if d.checkpoint_every > 0 {
+                m.parts.keep_checkpoint_state();
+            }
             // Paint transitions join the log as an audit trail.
-            for mp in &mut m.parts.mps {
-                mp.enable_paint_events();
+            for part in &mut m.parts.mps {
+                part.mp.enable_paint_events();
             }
         }
         Ok(Sim {
@@ -1137,7 +1056,7 @@ impl Sim {
                     .parts
                     .vms
                     .iter()
-                    .filter(|(_, v)| !v.is_idle())
+                    .filter(|(_, v)| !v.vm.is_idle())
                     .map(|(&id, _)| id)
                     .collect();
                 self.nudge(lagging)?;
@@ -1198,7 +1117,7 @@ impl Sim {
                 .parts
                 .vms
                 .iter()
-                .filter(|(_, v)| !flushed_all || !v.is_idle())
+                .filter(|(_, v)| !flushed_all || !v.vm.is_idle())
                 .map(|(&id, _)| id)
                 .collect();
             flushed_all = true;
@@ -1210,7 +1129,7 @@ impl Sim {
                 .parts
                 .vms
                 .iter()
-                .filter(|(_, v)| !v.is_idle())
+                .filter(|(_, v)| !v.vm.is_idle())
                 .map(|(id, _)| id.to_string())
                 .chain(
                     self.m
@@ -1218,8 +1137,8 @@ impl Sim {
                         .mps
                         .iter()
                         .enumerate()
-                        .filter(|(_, m)| !m.is_quiescent())
-                        .map(|(g, m)| format!("MP{g} ({} rows live)", m.live_rows())),
+                        .filter(|(_, m)| !m.mp.is_quiescent())
+                        .map(|(g, m)| format!("MP{g} ({} rows live)", m.mp.live_rows())),
                 )
                 .collect();
             return Err(SimError::NonQuiescent(stuck.join(", ")));
@@ -1296,7 +1215,6 @@ impl Sim {
         let groups = state.assembly.mps.len();
         let channels = state.in_flight(&cluster);
         let mut driver = SimDriver::new(groups, config.readers, &state.assembly.warehouse);
-        driver.last_processed_seq = state.last_logged_src;
         // Re-enqueued messages wait from step 0.
         driver.stamps = channels
             .iter()
@@ -1318,7 +1236,7 @@ impl Sim {
         let mut still_open: BTreeMap<GlobalSeq, usize> = BTreeMap::new();
         for (g, ids) in driver.uncovered.iter().enumerate() {
             for id in ids {
-                let seq = state.group_updates[g]
+                let seq = state.assembly.integrator.group_updates[g]
                     .get(id)
                     .copied()
                     .expect("uncovered row was routed");
@@ -1337,7 +1255,6 @@ impl Sim {
             driver,
         );
         m.channels = channels;
-        m.group_updates = state.group_updates;
         m.commit_log = state.commit_log;
         Ok(Sim {
             rng: StdRng::seed_from_u64(config.seed),

@@ -6,6 +6,16 @@
 //! one in nanoseconds. Both produce a [`SimReport`], so the consistency
 //! oracle validates threaded runs exactly like simulated ones.
 //!
+//! What a process *does* with a message is not written here: every
+//! thread body is `recv` → join the message's hb stamp → call the
+//! component's transition in [`crate::transitions`] (the same function
+//! the machine calls, which also writes the WAL record) → stamp, count
+//! and send the outputs. This module owns what only a multi-threaded
+//! host has: the channels and their batching, the in-flight counter and
+//! idle flags, hb clocks, wall-clock observability, cut publication and
+//! the reader fleets, group-commit fsync, the checkpoint round's message
+//! legs, and spawning and joining.
+//!
 //! Ordering notes:
 //! * updates and query answers destined for a view manager travel through
 //!   the integrator thread and share that VM's input channel, preserving
@@ -18,6 +28,9 @@
 //! increments it, each fully processed message decrements it *after* its
 //! outputs were sent, so counter == 0 means the pipeline is empty.
 
+#![deny(clippy::too_many_lines)]
+
+use crate::integrator::{Integrator, RoutingSnapshot};
 use crate::machine::{assemble, shard_stores, Assembly, SOURCE_CHECKPOINT_INTERVAL};
 use crate::metrics::SimMetrics;
 use crate::obs::PipelineObs;
@@ -26,22 +39,26 @@ use crate::shard::{
     remap_observations, shard_class, ReadFrontier, ShardPlane, ShardReport, ShardTopology,
     ShardWatermarks,
 };
-use crate::sim::{CommitLogEntry, SimError, SimReport};
-use mvc_core::lock::AuditedMutex;
-use mvc_core::{CommitPolicy, MergeAlgorithm, MergeSnapshot, TxnSeq, UpdateId, ViewId};
-use mvc_durability::{
-    CheckpointState, CommitRecord, DurabilityConfig, FlushTicket, RoutedUpdate, WalRecord,
-    WalWriter,
+use crate::sim::{CommitLogEntry, SimError, SimReport, WorkloadTxn};
+use crate::transitions::{
+    checkpoint_record, commit, MergeOutput, MergePart, MergeSnapshotPart, VmPart, WalSink,
 };
-use mvc_relational::{Delta, RelationName, Schema, ViewDef};
-use mvc_source::{GlobalSeq, SourceCluster, SourceId};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use mvc_core::lock::AuditedMutex;
+use mvc_core::{CommitPolicy, CommitStats, MergeAlgorithm, MergeStats, TxnSeq, UpdateId, ViewId};
+use mvc_durability::{DurabilityConfig, FlushTicket, WalError, WalRecord, WalWriter};
+use mvc_readpath::{ReadObservation, ReadSession, VersionedCuts};
+use mvc_relational::{Relation, RelationName, Schema, ViewDef};
+use mvc_source::{SourceCluster, SourceId};
 use mvc_viewmgr::{
-    answer_query, ActionListDelta, QueryAnswer, QueryRequest, QueryToken, VmEvent, VmOutput,
+    answer_query, ActionListDelta, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, VmEvent,
+    VmOutput,
 };
 use mvc_warehouse::{merge_shards, ShardInput, StoreTxn, Warehouse};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Threaded-runtime configuration.
@@ -90,19 +107,23 @@ pub struct ThreadedConfig {
     /// send time, so without the sampler the gauges never see idle-time
     /// decay; `ZERO` disables the sampler thread.
     pub depth_sample_interval: Duration,
-    /// Write-ahead logging + crash injection. With `checkpoint_every > 0`
-    /// the committer thread coordinates a checkpoint round every N
-    /// commits (unsharded, zero `commit_delay` runs): each merge process
-    /// and the integrator reply with a state snapshot plus a WAL anchor
-    /// taken at their own point in the log, the coordinator classifies
-    /// in-flight transactions against the commit log and appends a
-    /// self-contained [`CheckpointState`] — so recovery restores the
-    /// newest checkpoint and replays only each component's tail. With
-    /// `fsync_deadline` set, committers park on a shared [`FlushTicket`]
-    /// and one leader fsyncs for the whole window before any of them
-    /// acks (group commit). WAL errors never stop the pipeline here —
-    /// use `KillMode::Drop` faults, which model a machine that keeps
-    /// computing while nothing more reaches the disk.
+    /// Write-ahead logging + crash injection. The records are written by
+    /// the transitions every thread body calls ([`crate::transitions`]),
+    /// through this runtime's sink: WAL errors never stop the pipeline
+    /// here — use `KillMode::Drop` faults, which model a machine that
+    /// keeps computing while nothing more reaches the disk. With
+    /// `checkpoint_every > 0` the committer thread coordinates a
+    /// checkpoint round every N commits: each merge process and the
+    /// integrator reply with their snapshot, anchored in the WAL at
+    /// their own point in the log, and the coordinator appends the
+    /// self-contained `CheckpointState` assembled from them — so
+    /// recovery restores the newest checkpoint and replays only each
+    /// component's tail. The round assumes the single zero-delay
+    /// committer: `checkpoint_every > 0` with `shards > 1` or a nonzero
+    /// `commit_delay` is refused with `SimError::Unsupported` before any
+    /// thread is spawned. With `fsync_deadline` set, committers park on
+    /// a shared [`FlushTicket`] and one leader fsyncs for the whole
+    /// window before any of them acks (group commit).
     pub durability: Option<DurabilityConfig>,
     /// Thread-level fault injection, for tests of the shutdown paths.
     pub fault: Option<ThreadFault>,
@@ -114,9 +135,12 @@ pub struct ThreadedConfig {
     /// runtime is the classic single-store pipeline. Above 1, each shard
     /// owns a disjoint subset of merge groups and runs its own commit
     /// scheduler thread over its own store, commit log, versioned-cut
-    /// stack and (when durable) WAL stream; a shared atomic ticket
-    /// fixes one observed linearization that [`merge_shards`] replays
-    /// into the global report after the joins. Sharded runs skip the
+    /// stack and (when durable) WAL stream. Every committer runs the
+    /// same commit section; a sharded one additionally draws a ticket
+    /// from a shared atomic per commit — fixing one observed
+    /// linearization that [`merge_shards`] replays into the global
+    /// report after the joins — and publishes the shard's read
+    /// watermark. Sharded runs skip the
     /// read-path leg of the hb audit (`on_publish`/`on_read`/`on_gc`
     /// key by *global* watermark, and per-shard local watermarks
     /// collide in that keyspace); read certification instead comes from
@@ -430,7 +454,7 @@ enum VmMsg {
     /// A batch of relevant updates sealed by the integrator. One channel
     /// wakeup and one stamp per batch; per-item send instants keep the
     /// routing-latency histogram per-update.
-    Updates(Vec<(mvc_viewmgr::NumberedUpdate, Instant)>, Stamp),
+    Updates(Vec<(NumberedUpdate, Instant)>, Stamp),
     Answer(QueryToken, QueryAnswer, Stamp),
     Flush,
     Stop,
@@ -446,40 +470,12 @@ enum MpMsg {
     /// concurrently-routed `Rels` queue behind it.
     Action(ActionListDelta, Stamp),
     Committed(TxnSeq, Stamp),
-    /// Checkpoint round (see the coordinator in the committer thread):
-    /// reply with this group's merge snapshot, retained transactions and
-    /// WAL anchor, taken at this point in the group's own FIFO.
-    Checkpoint(crossbeam::channel::Sender<MpCkSnapshot>),
+    /// Checkpoint round (see [`CheckpointRound`]): reply with this
+    /// group's half of the checkpoint, taken — and anchored in the WAL —
+    /// at this point in the group's own FIFO.
+    Checkpoint(Sender<MergeSnapshotPart>),
     Flush,
     Stop,
-}
-
-/// A merge process's half of a threaded checkpoint round. The anchor is
-/// the WAL's next absolute record index read while handling the
-/// [`MpMsg::Checkpoint`] message: every record this MP logged before the
-/// snapshot has a smaller index and is reflected in `merge`; everything
-/// at or above it must be replayed into the restored engine.
-struct MpCkSnapshot {
-    merge: MergeSnapshot<Delta>,
-    /// Released transactions not yet acked back to this MP — the
-    /// coordinator classifies them against the commit log into
-    /// released-but-uncommitted vs committed-but-unacked.
-    retained: Vec<StoreTxn>,
-    installed_rel: UpdateId,
-    installed_al: Vec<(ViewId, UpdateId)>,
-    anchor: u64,
-}
-
-/// The integrator's half of a threaded checkpoint round: routing history
-/// from genesis, allocation counters, and the `SourceUpdate` replay
-/// anchor (same contract as [`MpCkSnapshot::anchor`]).
-struct IntCkSnapshot {
-    route_lists: Vec<RoutedUpdate>,
-    next_id: Vec<UpdateId>,
-    received: u64,
-    dropped: u64,
-    last_logged_src: GlobalSeq,
-    anchor: u64,
 }
 
 enum IntMsg {
@@ -487,8 +483,9 @@ enum IntMsg {
     /// across batches (sealed and sent under the batcher lock).
     Updates(Vec<SrcItem>),
     AnswerFor(ViewId, QueryToken, QueryAnswer, Stamp),
-    /// Checkpoint round: reply with the routing history and counters.
-    Checkpoint(crossbeam::channel::Sender<IntCkSnapshot>),
+    /// Checkpoint round: reply with the routing history and counters,
+    /// anchored at this point in the integrator's FIFO.
+    Checkpoint(Sender<RoutingSnapshot>),
     Stop,
 }
 
@@ -497,19 +494,13 @@ enum QsMsg {
     Stop,
 }
 
-enum WhMsg {
-    Txn(usize, StoreTxn, Instant, Stamp),
-    Stop,
-}
+/// A released warehouse transaction on its way to a committer: merge
+/// group, payload, release instant, and the releasing thread's stamp.
+type Release = (usize, StoreTxn, Instant, Stamp);
 
-/// What one MVCC reader thread hands back at join time. Unsharded
-/// readers fill `observations` (certified directly against the global
-/// history); sharded readers fill the per-shard vectors plus one
-/// [`ReadFrontier`] per iteration for `Oracle::check_sharded`.
-struct ReaderYield {
-    observations: Vec<mvc_readpath::ReadObservation>,
-    shard_observations: Vec<Vec<mvc_readpath::ReadObservation>>,
-    frontiers: Vec<ReadFrontier>,
+enum WhMsg {
+    Txn(Release),
+    Stop,
 }
 
 /// Best-effort text of a worker thread's panic payload, so a panicking
@@ -578,11 +569,11 @@ struct SrcBatcher {
     /// Seal when the oldest buffered item is at least this old (checked
     /// at push — the driver's end-of-workload flush bounds the tail).
     deadline: Duration,
-    int_tx: crossbeam::channel::Sender<IntMsg>,
+    int_tx: Sender<IntMsg>,
 }
 
 impl SrcBatcher {
-    fn new(max: usize, deadline: Duration, int_tx: crossbeam::channel::Sender<IntMsg>) -> Self {
+    fn new(max: usize, deadline: Duration, int_tx: Sender<IntMsg>) -> Self {
         SrcBatcher {
             buf: AuditedMutex::new("whips.src_batcher", Vec::new()),
             max: max.max(1),
@@ -614,12 +605,353 @@ impl SrcBatcher {
     }
 }
 
+/// This runtime's WAL sink: the log streams a thread writes to, shared
+/// with every other logging thread. Unlike the machine's sink, append
+/// errors are deliberately dropped: a WAL crash point must never stop
+/// the in-memory pipeline, only the log — every `KillMode` degenerates
+/// to `Drop` here, modelling a machine whose disk died while the process
+/// kept computing. Recovery then replays the pre-crash prefix. Sharded
+/// runs split the log into one stream per shard; the integrator's sink
+/// holds them all, so every shard's log carries the full source feed and
+/// replays standalone, and every other thread's sink holds the one
+/// stream of its shard (none when the run is not durable).
+#[derive(Clone, Default)]
+struct WalStreams(Vec<Arc<AuditedMutex<WalWriter>>>);
+
+impl WalSink for &WalStreams {
+    fn attached(&self) -> bool {
+        !self.0.is_empty()
+    }
+    fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
+        for wal in &self.0 {
+            let _ = wal.lock().append(rec);
+        }
+        Ok(())
+    }
+    fn next_index(&self) -> u64 {
+        self.0.first().map_or(0, |wal| wal.lock().next_index())
+    }
+}
+
+impl WalStreams {
+    /// Open the run's log: one stream, or one per shard (path suffix
+    /// `.shard{i}`) when sharded; none when the run is not durable.
+    fn open(
+        config: &ThreadedConfig,
+        registry: &ViewRegistry,
+        shards: usize,
+    ) -> Result<Self, SimError> {
+        let Some(d) = &config.durability else {
+            return Ok(WalStreams::default());
+        };
+        let mut wals = Vec::with_capacity(shards);
+        if shards > 1 {
+            for s in 0..shards {
+                let mut ds = d.clone();
+                let mut name = ds.wal_path.clone().into_os_string();
+                name.push(format!(".shard{s}"));
+                ds.wal_path = name.into();
+                wals.push(Arc::new(AuditedMutex::new(
+                    shard_class(s, "shard{i}.wal"),
+                    WalWriter::create(&ds)?,
+                )));
+            }
+        } else {
+            wals.push(Arc::new(AuditedMutex::new(
+                "whips.wal",
+                WalWriter::create(d)?,
+            )));
+        }
+        // Strobe/Convergent recovery replays logged deliveries from
+        // genesis, so checkpoint-anchored compaction must never unlink
+        // the log's prefix while such a view is registered.
+        if registry.iter().any(|e| e.kind.needs_delivery_replay()) {
+            for wal in &wals {
+                wal.lock().set_compaction(false);
+            }
+        }
+        Ok(WalStreams(wals))
+    }
+
+    /// The stream of one shard (none when the run is not durable).
+    fn of_shard(&self, shard: usize) -> WalStreams {
+        WalStreams(self.0.get(shard).cloned().into_iter().collect())
+    }
+
+    fn flush(&self) -> Result<(), WalError> {
+        self.0.iter().try_for_each(|wal| wal.lock().flush())
+    }
+
+    /// All logging threads have exited: flush whatever a fault left, and
+    /// report the fsyncs issued.
+    fn finalize(&self) -> u64 {
+        let mut fsyncs = 0;
+        for wal in &self.0 {
+            let mut wal = wal.lock();
+            let _ = wal.finalize();
+            fsyncs += wal.fsyncs();
+        }
+        fsyncs
+    }
+}
+
+/// The arrows of Figure 1 as channel senders, with the in-flight counter
+/// every send bumps and the hb auditor every stamped send consults.
+/// Shared by every thread: a thread's loop ends on its `Stop` message,
+/// never on disconnect, so holding a sender to one's own inbox is
+/// harmless.
+struct Net {
+    int_tx: Sender<IntMsg>,
+    qs_tx: Sender<QsMsg>,
+    /// One release channel per committer: merge group `g` releases to
+    /// `wh_txs[topology.shard_of(g)]` (always index 0 unsharded).
+    wh_txs: Vec<Sender<WhMsg>>,
+    vm_txs: BTreeMap<ViewId, Sender<VmMsg>>,
+    mp_txs: Vec<Sender<MpMsg>>,
+    flight: Flight,
+    /// Idle (per view manager) and quiescent (per merge process) flags,
+    /// published by their threads after every wakeup and read — unlocked
+    /// — by the driver's quiescence test.
+    vm_idle: BTreeMap<ViewId, AtomicBool>,
+    mp_quiescent: Vec<AtomicBool>,
+    /// Happens-before auditor (no-op unless `hb-audit`). Thread pids:
+    /// driver 0, integrator 1, VM 10+view, MP 1000+group, MVCC reader
+    /// 2000+k; the query server and the committers pass stamps through
+    /// without a clock of their own (they are stateless relays for
+    /// ordering purposes).
+    audit: HbAudit,
+}
+
+/// The receiving ends [`Net::wire`] hands to the threads it feeds.
+struct Inboxes {
+    int: Receiver<IntMsg>,
+    qs: Receiver<QsMsg>,
+    wh: Vec<Receiver<WhMsg>>,
+    /// In ascending view order, like the assembly's managers.
+    vm: Vec<Receiver<VmMsg>>,
+    mp: Vec<Receiver<MpMsg>>,
+}
+
+impl Net {
+    /// One unbounded FIFO per arrow.
+    fn wire(views: impl Iterator<Item = ViewId>, groups: usize, shards: usize) -> (Net, Inboxes) {
+        let (int_tx, int) = unbounded();
+        let (qs_tx, qs) = unbounded();
+        let (wh_txs, wh) = (0..shards).map(|_| unbounded()).unzip();
+        let (mp_txs, mp) = (0..groups).map(|_| unbounded()).unzip();
+        let (mut vm_txs, mut vm_idle) = (BTreeMap::new(), BTreeMap::new());
+        let mut vm = Vec::new();
+        for v in views {
+            let (tx, rx) = unbounded();
+            vm_txs.insert(v, tx);
+            vm_idle.insert(v, AtomicBool::new(true));
+            vm.push(rx);
+        }
+        let net = Net {
+            int_tx,
+            qs_tx,
+            wh_txs,
+            vm_txs,
+            mp_txs,
+            flight: Flight::new(),
+            vm_idle,
+            mp_quiescent: (0..groups).map(|_| AtomicBool::new(true)).collect(),
+            audit: HbAudit::new(),
+        };
+        let inboxes = Inboxes {
+            int,
+            qs,
+            wh,
+            vm,
+            mp,
+        };
+        (net, inboxes)
+    }
+
+    /// Count a message in flight, send it, and gauge its channel class.
+    fn send<T>(&self, tx: &Sender<T>, msg: T, class: &'static str, obs: &mut PipelineObs) {
+        self.flight.up();
+        let _ = tx.send(msg);
+        obs.note_depth(class, tx.len() as u64);
+    }
+
+    /// Nothing in flight and every component idle.
+    fn quiescent(&self) -> bool {
+        self.flight.zero()
+            // SeqCst: both flag families pair with the SeqCst stores in
+            // the VM/MP loops, so this composite test is conservative.
+            && self.vm_idle.values().all(|f| f.load(Ordering::SeqCst))
+            && self.mp_quiescent.iter().all(|f| f.load(Ordering::SeqCst))
+    }
+
+    /// Per-channel backlog: the diagnostics a `DrainTimeout` carries.
+    fn queue_depths(&self) -> Vec<(String, usize)> {
+        let mut d = vec![
+            ("src_to_int".to_string(), self.int_tx.len()),
+            ("vm_to_qs".to_string(), self.qs_tx.len()),
+            (
+                "mp_to_wh".to_string(),
+                self.wh_txs.iter().map(Sender::len).sum(),
+            ),
+        ];
+        for (v, tx) in &self.vm_txs {
+            d.push((format!("vm:{v}"), tx.len()));
+        }
+        for (g, tx) in self.mp_txs.iter().enumerate() {
+            d.push((format!("mp:{g}"), tx.len()));
+        }
+        d
+    }
+
+    fn drain_timeout(&self) -> SimError {
+        SimError::DrainTimeout {
+            in_flight: self.flight.count(),
+            queue_depths: self.queue_depths(),
+        }
+    }
+
+    fn stop_all(&self) {
+        let _ = self.int_tx.send(IntMsg::Stop);
+        let _ = self.qs_tx.send(QsMsg::Stop);
+        for tx in &self.wh_txs {
+            let _ = tx.send(WhMsg::Stop);
+        }
+        for tx in self.vm_txs.values() {
+            let _ = tx.send(VmMsg::Stop);
+        }
+        for tx in &self.mp_txs {
+            let _ = tx.send(MpMsg::Stop);
+        }
+    }
+}
+
+/// What one store lock serializes: a shard's views, the commit log
+/// aligned 1:1 with their history, and (sharded) the global ticket drawn
+/// for each commit — the observed linearization `merge_shards` replays
+/// after the joins.
+struct ShardStore {
+    warehouse: Warehouse,
+    commit_log: Vec<CommitLogEntry>,
+    tickets: Vec<u64>,
+}
+
+/// One shard of the commit plane (the whole plane when unsharded): the
+/// store its commit scheduler serializes, with the shard's WAL stream
+/// and cut stack. Shared by the shard's committer, that committer's
+/// delay workers, and the readers.
+struct Shard {
+    index: usize,
+    store: AuditedMutex<ShardStore>,
+    /// The shard's view set, ascending — what its readers query.
+    views: Vec<ViewId>,
+    /// Pre-any-commit fingerprints of those views.
+    initials: BTreeMap<ViewId, u64>,
+    /// MVCC version store, seeded at watermark 0 with the shard's views;
+    /// every commit's changed views are published under the same lock
+    /// that serialized it.
+    cuts: VersionedCuts,
+    wal: WalStreams,
+    /// Group commit: the window, and the ticket concurrent committers of
+    /// this stream park on — they enroll after appending and one leader
+    /// fsyncs for everyone in the window.
+    flush: Option<(Duration, FlushTicket)>,
+    plane: Option<TicketPlane>,
+    net: Arc<Net>,
+}
+
+/// What sharded committers and frontier readers coordinate through: the
+/// global ticket counter every committer draws from under its shard
+/// lock, and the cross-shard read-watermark registers.
+#[derive(Clone)]
+struct TicketPlane {
+    tickets: Arc<AtomicU64>,
+    watermarks: Arc<ShardWatermarks>,
+}
+
+/// One store per shard; shard 0 owns every view when unsharded. Sharded
+/// stores never record snapshots: the post-run ticket merge reconstructs
+/// the global history with full state vectors and the snapshot column
+/// deliberately empty.
+fn open_shards(
+    config: &ThreadedConfig,
+    integrator: &Integrator,
+    topology: &ShardTopology,
+    wals: &WalStreams,
+    net: &Arc<Net>,
+) -> Vec<Arc<Shard>> {
+    let sharded = topology.shards() > 1;
+    let record = config.record_snapshots && !sharded;
+    let plane = sharded.then(|| TicketPlane {
+        tickets: Arc::new(AtomicU64::new(0)),
+        watermarks: Arc::new(ShardWatermarks::new(topology.shards())),
+    });
+    let window = config.durability.as_ref().and_then(|d| d.fsync_deadline);
+    let stores = shard_stores(
+        integrator.registry(),
+        integrator.partitioning(),
+        topology,
+        record,
+    );
+    let open = |(index, warehouse): (usize, Warehouse)| {
+        let views: Vec<ViewId> = warehouse.view_ids().collect();
+        let initials = warehouse.initial_fingerprints();
+        let cuts = VersionedCuts::new();
+        cuts.seed(0, warehouse.read(&views));
+        let store = ShardStore {
+            warehouse,
+            commit_log: Vec::new(),
+            tickets: Vec::new(),
+        };
+        Arc::new(Shard {
+            index,
+            // Lock classes: the classic name when unsharded, `shard{i}.*`
+            // per shard otherwise — both literals sit on their
+            // construction line for the static lock lint.
+            store: if sharded {
+                AuditedMutex::new(shard_class(index, "shard{i}.warehouse"), store)
+            } else {
+                AuditedMutex::new("whips.warehouse", store)
+            },
+            views,
+            initials,
+            cuts,
+            wal: wals.of_shard(index),
+            flush: window.map(|w| (w, FlushTicket::new())),
+            plane: plane.clone(),
+            net: net.clone(),
+        })
+    };
+    stores.into_iter().enumerate().map(open).collect()
+}
+
+/// Combinations this runtime cannot honour are refused before any thread
+/// exists, never silently degraded.
+fn refuse_unsupported(config: &ThreadedConfig, shards: usize) -> Result<(), SimError> {
+    let every = config.durability.as_ref().map_or(0, |d| d.checkpoint_every);
+    // A checkpoint round's request/reply legs assume one committer
+    // classifying a commit log that holds still meanwhile.
+    let clash = if shards > 1 {
+        format!("shards = {shards}")
+    } else if !config.commit_delay.is_zero() {
+        format!("commit_delay = {:?}", config.commit_delay)
+    } else {
+        return Ok(());
+    };
+    if every == 0 {
+        return Ok(());
+    }
+    Err(SimError::Unsupported(format!(
+        "durability.checkpoint_every = {every} with {clash}: threaded checkpoint rounds need \
+         the single zero-delay committer"
+    )))
+}
+
 /// Builder mirroring [`crate::sim::SimBuilder`] for the threaded runtime.
 pub struct ThreadedBuilder {
     config: ThreadedConfig,
     cluster: SourceCluster,
     registry: ViewRegistry,
-    workload: Vec<crate::sim::WorkloadTxn>,
+    workload: Vec<WorkloadTxn>,
 }
 
 impl ThreadedBuilder {
@@ -659,7 +991,7 @@ impl ThreadedBuilder {
         &self.registry
     }
 
-    pub fn workload(mut self, txns: Vec<crate::sim::WorkloadTxn>) -> Self {
+    pub fn workload(mut self, txns: Vec<WorkloadTxn>) -> Self {
         self.workload.extend(txns);
         self
     }
@@ -670,31 +1002,91 @@ impl ThreadedBuilder {
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// What the threads hand back through their `JoinHandle`s: each fills
+/// the fields it has, and the driver sums them after the joins.
+#[derive(Default)]
+struct Yield {
+    /// Every thread records latencies into its own `PipelineObs` (no
+    /// lock on the hot path).
+    obs: Vec<PipelineObs>,
+    /// One entry per merge thread, in group (= spawn = join) order.
+    merge_stats: Vec<MergeStats>,
+    commit_stats: Vec<CommitStats>,
+    integrator: Option<Box<Integrator>>,
+    /// The §1.1 inquiry reader's samples.
+    reader_samples: Vec<BTreeMap<ViewId, Arc<Relation>>>,
+    /// Unsharded MVCC readers: certified directly against the global
+    /// history.
+    read_observations: Vec<ReadObservation>,
+    /// Sharded MVCC readers: per shard, in shard-local sessions and
+    /// watermarks, plus one frontier per iteration for
+    /// `Oracle::check_sharded`.
+    shard_observations: Vec<Vec<ReadObservation>>,
+    frontiers: Vec<ReadFrontier>,
+}
+
+impl Yield {
+    fn of(obs: PipelineObs) -> Self {
+        Yield {
+            obs: vec![obs],
+            ..Yield::default()
+        }
+    }
+
+    fn absorb(&mut self, mut y: Yield) {
+        self.obs.append(&mut y.obs);
+        self.merge_stats.append(&mut y.merge_stats);
+        self.commit_stats.append(&mut y.commit_stats);
+        self.integrator = self.integrator.take().or(y.integrator);
+        self.reader_samples.append(&mut y.reader_samples);
+        self.read_observations.append(&mut y.read_observations);
+        let shards = self
+            .shard_observations
+            .len()
+            .max(y.shard_observations.len());
+        self.shard_observations.resize_with(shards, Vec::new);
+        for (mine, theirs) in self.shard_observations.iter_mut().zip(y.shard_observations) {
+            mine.extend(theirs);
+        }
+        // Concatenation preserves each reader's (reader, seq) order —
+        // all check_sharded's monotonicity pass needs.
+        self.frontiers.append(&mut y.frontiers);
+    }
+}
+
+/// A spawned thread and the name its failure is reported under.
+type Worker = (&'static str, JoinHandle<Result<Yield, String>>);
+
+/// Join every spawned thread. A failed or panicked thread surfaces as an
+/// error string naming it.
+fn join_workers(workers: Vec<Worker>) -> (Yield, Vec<String>) {
+    let (mut total, mut errors) = (Yield::default(), Vec::new());
+    for (what, h) in workers {
+        match h.join() {
+            Ok(Ok(y)) => total.absorb(y),
+            Ok(Err(e)) => errors.push(format!("{what} error: {e}")),
+            Err(p) => errors.push(format!("{what} panicked: {}", panic_message(p))),
+        }
+    }
+    (total, errors)
+}
+
 fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> {
-    // Take the builder apart instead of cloning pieces out of it: the
-    // config and registry are borrowed by many closures below, the
-    // workload is consumed by the driver.
+    // Take the builder apart instead of cloning pieces out of it.
     let ThreadedBuilder {
         config,
-        cluster: src_cluster,
-        registry: reg,
+        cluster,
+        registry,
         workload,
     } = b;
     // Every fallible step of deployment set-up (view-manager
-    // construction) happens here, BEFORE any worker exists: a `?` taken
-    // after the spawn loops start would leak every already-spawned thread
-    // (nothing would ever send them Stop). All-or-nothing construction
-    // keeps the unconditional shutdown below the only teardown path.
-    let Assembly {
-        mut integrator,
-        group_views,
-        mps,
-        guarantees,
-        vms,
-        warehouse,
-    } = assemble(
-        &reg,
+    // construction, refusals, opening the log) happens here, BEFORE any
+    // worker exists: a `?` taken after the spawns start would leak every
+    // already-spawned thread (nothing would ever send them Stop).
+    // All-or-nothing construction keeps the unconditional shutdown below
+    // the only teardown path.
+    let assembly = assemble(
+        &registry,
         config.partition,
         config.groups,
         config.algorithm,
@@ -702,1447 +1094,76 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
         config.tuple_relevance,
         config.record_snapshots,
     )?;
-    let partitioning = integrator.partitioning().clone();
-    let groups = mps.len();
     // §6.1 scaled out: shards own disjoint subsets of merge groups (and
     // therefore disjoint view sets), each with its own commit plane.
-    let topology = ShardTopology::new(groups, config.shards);
-    let shards = topology.shards();
-    let sharded = shards > 1;
+    let topology = ShardTopology::new(assembly.mps.len(), config.shards);
+    refuse_unsupported(&config, topology.shards())?;
+    let wals = WalStreams::open(&config, &registry, topology.shards())?;
+    let partitioning = assembly.integrator.partitioning().clone();
+    // The global fingerprint vector (the shards' disjoint union) comes
+    // from the assembled all-views store, which this runtime uses for
+    // nothing else.
+    let initial_fingerprints = assembly.warehouse.initial_fingerprints();
+    let guarantees = assembly.guarantees.clone();
+    let group_views = assembly.group_views.clone();
 
-    // Shared state.
-    let flight = Flight::new();
-    // Happens-before auditor (no-op unless `hb-audit`). Thread pids:
-    // driver 0, integrator 1, VM 10+view, MP 1000+group; the query
-    // server and commit workers pass stamps through without a clock of
-    // their own (they are stateless relays for ordering purposes).
-    let audit = HbAudit::new();
-    let cluster = Arc::new(AuditedMutex::new("whips.cluster", src_cluster));
-    // One store per shard; shard 0 owns every view when unsharded.
-    // Sharded stores never record snapshots: the post-run ticket merge
-    // reconstructs the global history with full state vectors and the
-    // snapshot column deliberately empty.
-    let shard_whs = shard_stores(
-        &reg,
-        &partitioning,
-        &topology,
-        config.record_snapshots && !sharded,
-    );
-    let shard_views: Vec<Vec<ViewId>> = shard_whs.iter().map(|w| w.view_ids().collect()).collect();
-    // MVCC read path: per-shard pre-commit fingerprints and a version
-    // store per shard, seeded at watermark 0 with that shard's views.
-    // The global fingerprint vector (their disjoint union) comes from
-    // the assembled all-views store, which this runtime uses for
-    // nothing else. Committers publish every commit's changed views
-    // under the same shard lock that serialized it.
-    let shard_initials: Vec<BTreeMap<ViewId, u64>> = shard_whs
-        .iter()
-        .map(Warehouse::initial_fingerprints)
-        .collect();
-    let initial_fingerprints = warehouse.initial_fingerprints();
-    let shard_cuts: Vec<mvc_readpath::VersionedCuts> = (0..shards)
-        .map(|s| {
-            let cuts = mvc_readpath::VersionedCuts::new();
-            cuts.seed(0, shard_whs[s].read(&shard_views[s]));
-            cuts
-        })
-        .collect();
-    // Lock classes: the classic names when unsharded (byte-identical
-    // runtime), `shard{i}.*` per shard otherwise — both literals sit on
-    // their construction line for the static lock lint.
-    let stores: Vec<Arc<AuditedMutex<Warehouse>>> = shard_whs
-        .into_iter()
-        .enumerate()
-        .map(|(s, w)| {
-            if sharded {
-                Arc::new(AuditedMutex::new(shard_class(s, "shard{i}.warehouse"), w))
-            } else {
-                Arc::new(AuditedMutex::new("whips.warehouse", w))
-            }
-        })
-        .collect();
-    let shard_logs: Vec<Arc<AuditedMutex<Vec<CommitLogEntry>>>> = (0..shards)
-        .map(|s| {
-            if sharded {
-                Arc::new(AuditedMutex::new(
-                    shard_class(s, "shard{i}.commit_log"),
-                    Vec::new(),
-                ))
-            } else {
-                Arc::new(AuditedMutex::new("whips.commit_log", Vec::new()))
-            }
-        })
-        .collect();
-    // Cross-shard read-watermark registers plus the global ticket
-    // counter every sharded committer draws from under its shard lock.
-    let watermarks = Arc::new(ShardWatermarks::new(shards));
-    let ticket_counter = Arc::new(AtomicU64::new(0));
-
-    // Write-ahead log, shared by every logging thread. Unlike the
-    // simulator, append errors are deliberately dropped (`let _`): a WAL
-    // crash point must never stop the in-memory pipeline, only the log —
-    // every `KillMode` degenerates to `Drop` here, modelling a machine
-    // whose disk died while the process kept computing. Recovery then
-    // replays the pre-crash prefix. No checkpoints either: merge state
-    // lives inside the MP threads, so recovery replays from the start.
-    // Sharded runs split the log into one stream per shard (path suffix
-    // `.shard{i}`); the integrator duplicates every `SourceUpdate` into
-    // all streams, so each shard's log is self-contained for its groups.
-    let mut wals: Vec<Arc<AuditedMutex<WalWriter>>> = Vec::new();
-    if let Some(d) = &config.durability {
-        if sharded {
-            for s in 0..shards {
-                let mut ds = d.clone();
-                let mut name = ds.wal_path.clone().into_os_string();
-                name.push(format!(".shard{s}"));
-                ds.wal_path = name.into();
-                wals.push(Arc::new(AuditedMutex::new(
-                    shard_class(s, "shard{i}.wal"),
-                    WalWriter::create(&ds)?,
-                )));
-            }
-        } else {
-            wals.push(Arc::new(AuditedMutex::new(
-                "whips.wal",
-                WalWriter::create(d)?,
-            )));
-        }
-        // Strobe/Convergent recovery replays logged deliveries from
-        // genesis, so checkpoint-anchored compaction must never unlink
-        // the log's prefix while such a view is registered.
-        if reg.iter().any(|e| e.kind.needs_delivery_replay()) {
-            for w in &wals {
-                w.lock().set_compaction(false);
-            }
-        }
-    }
-    // Group commit: one flush ticket per WAL stream; committers enroll
-    // after appending and one leader fsyncs for everyone in the window.
-    let flush_window = config.durability.as_ref().and_then(|d| d.fsync_deadline);
-    let flush_tickets: Vec<Arc<FlushTicket>> =
-        (0..shards).map(|_| Arc::new(FlushTicket::new())).collect();
-    // Threaded checkpoint rounds: coordinated by the (single) committer
-    // on the unsharded, zero-commit-delay path only — the round's
-    // request/reply legs assume one committer classifying a stable
-    // commit log.
-    let checkpoint_every = if sharded || !config.commit_delay.is_zero() {
-        0
-    } else {
-        config.durability.as_ref().map_or(0, |d| d.checkpoint_every)
-    };
-
-    // Per-thread observability: every thread records latencies into its
-    // own PipelineObs (no lock on the hot path) and pushes it here on
-    // exit; the driver merges the shards into SimReport.pipeline.
-    let obs_parts: Arc<AuditedMutex<Vec<PipelineObs>>> =
-        Arc::new(AuditedMutex::new("whips.obs_parts", Vec::new()));
-
-    // Channels.
-    let (int_tx, int_rx) = crossbeam::channel::unbounded::<IntMsg>();
-    let (qs_tx, qs_rx) = crossbeam::channel::unbounded::<QsMsg>();
+    let views = assembly.vms.keys().copied();
+    let (net, inboxes) = Net::wire(views, assembly.mps.len(), topology.shards());
+    let net = Arc::new(net);
+    let shards = open_shards(&config, &assembly.integrator, &topology, &wals, &net);
+    let cluster = Arc::new(AuditedMutex::new("whips.cluster", cluster));
     // Driver-side batcher for the src→int channel. Sequential mode needs
     // per-update sends: the driver waits for quiescence between
     // transactions, and a buffered update would never drain.
-    let batcher = Arc::new(SrcBatcher::new(
-        if config.sequential {
-            1
-        } else {
-            config.batch_max
-        },
-        config.batch_deadline,
-        int_tx.clone(),
-    ));
-    // One release channel per committer: MP `g` routes its releases to
-    // `wh_txs[topology.shard_of(g)]` (always index 0 unsharded).
-    let mut wh_txs: Vec<crossbeam::channel::Sender<WhMsg>> = Vec::with_capacity(shards);
-    let mut wh_rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = crossbeam::channel::unbounded::<WhMsg>();
-        wh_txs.push(tx);
-        wh_rxs.push(rx);
-    }
-    let mut vm_txs: BTreeMap<ViewId, crossbeam::channel::Sender<VmMsg>> = BTreeMap::new();
-    let mut mp_txs: Vec<crossbeam::channel::Sender<MpMsg>> = Vec::new();
-
-    let mut handles = Vec::new();
-    // Shared epoch for the per-group activity spans recorded by the MP
-    // threads: overlapping spans across groups demonstrate concurrency.
-    let epoch = Instant::now();
-
-    // --- View manager threads ---
-    let vm_idle: Arc<AuditedMutex<BTreeMap<ViewId, Arc<AtomicBool>>>> =
-        Arc::new(AuditedMutex::new("whips.vm_idle", BTreeMap::new()));
-    // (MP channels created below; VMs need them — create MP channels first.)
-    let mut mp_rxs = Vec::new();
-    for _ in 0..groups {
-        let (tx, rx) = crossbeam::channel::unbounded::<MpMsg>();
-        mp_txs.push(tx);
-        mp_rxs.push(rx);
-    }
-
-    for (id, mut vm) in vms {
-        let (tx, rx) = crossbeam::channel::unbounded::<VmMsg>();
-        vm_txs.insert(id, tx);
-        let idle = Arc::new(AtomicBool::new(true));
-        vm_idle.lock().insert(id, idle.clone());
-        let g = partitioning.group_of_view(id).unwrap_or(0);
-        let mp_tx = mp_txs[g].clone();
-        let qs_tx = qs_tx.clone();
-        let flight = flight.clone();
-        let obs_parts = obs_parts.clone();
-        let audit = audit.clone();
-        // Delivery-replay views (Strobe/Convergent) log every delivered
-        // event *before* handling it — log-ahead, so any consequent
-        // `ActionInstalled` lands later in the WAL — and recovery replays
-        // the per-view subsequence from genesis.
-        let wal = wals.get(topology.shard_of(g)).cloned();
-        let log_deliveries =
-            wal.is_some() && reg.get(id).is_some_and(|e| e.kind.needs_delivery_replay());
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let mut obs = PipelineObs::new("ns");
-            let mut hbc = HbClock::new(10 + id.0);
-            while let Ok(msg) = rx.recv() {
-                // One wakeup may carry a whole batch of updates; events
-                // are handled in arrival order either way.
-                let mut events: Vec<VmEvent> = Vec::with_capacity(1);
-                match msg {
-                    VmMsg::Updates(batch, stamp) => {
-                        audit.recv(&mut hbc, &stamp);
-                        for (u, sent) in batch {
-                            obs.int_routing.record(sent.elapsed().as_nanos() as u64);
-                            if log_deliveries {
-                                if let Some(w) = &wal {
-                                    let _ = w.lock().append(&WalRecord::VmUpdateDelivered {
-                                        view: id,
-                                        id: u.id,
-                                    });
-                                }
-                            }
-                            events.push(VmEvent::Update(u));
-                        }
-                    }
-                    VmMsg::Answer(t, a, stamp) => {
-                        audit.recv(&mut hbc, &stamp);
-                        if log_deliveries {
-                            if let Some(w) = &wal {
-                                let _ = w.lock().append(&WalRecord::VmAnswerDelivered {
-                                    view: id,
-                                    token: t,
-                                    answer: a.clone(),
-                                });
-                            }
-                        }
-                        events.push(VmEvent::Answer {
-                            token: t,
-                            answer: a,
-                        });
-                    }
-                    VmMsg::Flush => {
-                        if log_deliveries {
-                            if let Some(w) = &wal {
-                                let _ = w.lock().append(&WalRecord::VmFlushDelivered { view: id });
-                            }
-                        }
-                        events.push(VmEvent::Flush);
-                    }
-                    VmMsg::Stop => break,
-                }
-                for event in events {
-                    let t0 = Instant::now();
-                    let outs = vm.handle(event).map_err(|e| e.to_string())?;
-                    obs.vm_compute.record(t0.elapsed().as_nanos() as u64);
-                    for o in outs {
-                        match o {
-                            VmOutput::Action(al) => {
-                                flight.up();
-                                let _ = mp_tx.send(MpMsg::Action(al, audit.stamp(&mut hbc)));
-                                obs.note_depth("vm_to_mp", mp_tx.len() as u64);
-                            }
-                            VmOutput::Query { token, request } => {
-                                flight.up();
-                                let _ = qs_tx.send(QsMsg::Query(
-                                    id,
-                                    token,
-                                    Box::new(request),
-                                    audit.stamp(&mut hbc),
-                                ));
-                                obs.note_depth("vm_to_qs", qs_tx.len() as u64);
-                            }
-                        }
-                    }
-                }
-                // SeqCst: the idle flag must not be observed set before the
-                // sends above are visible — quiescence reads it unlocked.
-                idle.store(vm.is_idle(), Ordering::SeqCst);
-                flight.down();
-            }
-            obs_parts.lock().push(obs);
-            Ok(())
-        }));
-    }
-
-    // --- Merge process threads ---
-    let mp_quiescent: Arc<AuditedMutex<Vec<Arc<AtomicBool>>>> =
-        Arc::new(AuditedMutex::new("whips.mp_quiescent", Vec::new()));
-    let merge_stats = Arc::new(AuditedMutex::new(
-        "whips.merge_stats",
-        vec![mvc_core::MergeStats::default(); groups],
-    ));
-    let commit_stats = Arc::new(AuditedMutex::new(
-        "whips.commit_stats",
-        vec![mvc_core::CommitStats::default(); groups],
-    ));
-    for ((g, rx), mut mp) in mp_rxs.into_iter().enumerate().zip(mps) {
-        // Paint transitions feed both the WAL and the HB audit.
-        if !wals.is_empty() || cfg!(feature = "hb-audit") {
-            mp.enable_paint_events();
-        }
-        // This group's shard: its WAL stream and its commit scheduler.
-        let wal = wals.get(topology.shard_of(g)).cloned();
-        let quiescent = Arc::new(AtomicBool::new(true));
-        mp_quiescent.lock().push(quiescent.clone());
-        let wh_tx = wh_txs[topology.shard_of(g)].clone();
-        let flight = flight.clone();
-        let merge_stats = merge_stats.clone();
-        let commit_stats = commit_stats.clone();
-        let obs_parts = obs_parts.clone();
-        let audit = audit.clone();
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let mut obs = PipelineObs::new("ns");
-            let mut hbc = HbClock::new(1000 + g as u32);
-            // AL arrival times, keyed like the simulator's merge-hold map:
-            // (view, last covered update) identifies the list inside a WT.
-            let mut al_recv: BTreeMap<(ViewId, UpdateId), Instant> = BTreeMap::new();
-            // Checkpoint bookkeeping (durable runs): released transactions
-            // awaiting their ack, and the install watermarks the recovery
-            // gating needs.
-            let mut retained: BTreeMap<TxnSeq, StoreTxn> = BTreeMap::new();
-            let mut installed_rel = UpdateId::ZERO;
-            let mut installed_al: BTreeMap<ViewId, UpdateId> = BTreeMap::new();
-            while let Ok(msg) = rx.recv() {
-                // Span stretches over every wakeup (including the drain's
-                // Flush rounds), so concurrently-live groups overlap.
-                obs.note_group_span(g, epoch.elapsed().as_nanos() as u64);
-                let released = match msg {
-                    MpMsg::Rels(rels, stamp) => {
-                        audit.recv(&mut hbc, &stamp);
-                        let mut released = Vec::new();
-                        for (i, rel, sent) in rels {
-                            obs.int_routing.record(sent.elapsed().as_nanos() as u64);
-                            if let Some(w) = &wal {
-                                let _ = w.lock().append(&WalRecord::RelInstalled {
-                                    group: g as u64,
-                                    id: i,
-                                    rel: rel.clone(),
-                                });
-                                installed_rel = installed_rel.max(i);
-                            }
-                            released.extend(mp.on_rel(i, rel).map_err(|e| e.to_string())?);
-                        }
-                        released
-                    }
-                    MpMsg::Action(al, stamp) => {
-                        audit.recv(&mut hbc, &stamp);
-                        al_recv.insert((al.view, al.last), Instant::now());
-                        if let Some(w) = &wal {
-                            let _ = w.lock().append(&WalRecord::ActionInstalled {
-                                group: g as u64,
-                                al: al.clone(),
-                            });
-                            let e = installed_al.entry(al.view).or_insert(UpdateId::ZERO);
-                            *e = (*e).max(al.last);
-                        }
-                        mp.on_action(al).map_err(|e| e.to_string())?
-                    }
-                    MpMsg::Committed(seq, stamp) => {
-                        audit.recv(&mut hbc, &stamp);
-                        if let Some(w) = &wal {
-                            let _ = w.lock().append(&WalRecord::CommitAcked {
-                                group: g as u64,
-                                seq,
-                            });
-                        }
-                        retained.remove(&seq);
-                        mp.on_committed(seq)
-                    }
-                    MpMsg::Checkpoint(reply) => {
-                        // Anchor read at this point in the group's FIFO:
-                        // everything this MP logged before has a smaller
-                        // absolute index and is reflected in the snapshot.
-                        let anchor = wal.as_ref().map_or(0, |w| w.lock().next_index());
-                        let _ = reply.send(MpCkSnapshot {
-                            merge: mp.snapshot(),
-                            retained: retained.values().cloned().collect(),
-                            installed_rel,
-                            installed_al: installed_al.iter().map(|(v, w)| (*v, *w)).collect(),
-                            anchor,
-                        });
-                        Vec::new()
-                    }
-                    MpMsg::Flush => mp.flush(),
-                    MpMsg::Stop => break,
-                };
-                let paints = mp.take_paint_events();
-                if let Some(w) = &wal {
-                    let mut w = w.lock();
-                    for e in &paints {
-                        let _ = w.append(&WalRecord::Paint {
-                            group: g as u64,
-                            update: e.update,
-                            view: e.view,
-                            color: e.color,
-                            state: e.state,
-                        });
-                    }
-                }
-                // Paint transitions are checked against this thread's
-                // clock, which already joined the stamp of the message
-                // that caused them.
-                audit.on_paints(g, &paints, &hbc);
-                for t in released {
-                    for a in &t.actions {
-                        if let Some(arrived) = al_recv.remove(&(a.view, a.last)) {
-                            obs.merge_hold.record(arrived.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    // Full payload, logged before the send: once this hits
-                    // the disk the transaction survives a crash even if the
-                    // committer never sees it. Retained until the ack comes
-                    // back, so a checkpoint round can classify it.
-                    if let Some(w) = &wal {
-                        let _ = w.lock().append(&WalRecord::GroupReleased {
-                            group: g as u64,
-                            txn: t.clone(),
-                        });
-                        retained.insert(t.seq, t.clone());
-                    }
-                    flight.up();
-                    let _ = wh_tx.send(WhMsg::Txn(g, t, Instant::now(), audit.stamp(&mut hbc)));
-                    obs.note_depth("mp_to_wh", wh_tx.len() as u64);
-                }
-                obs.vut_occupancy.record(mp.live_rows() as u64);
-                // SeqCst: pairs with the quiescence check — the flag must
-                // not appear set before the releases above are visible.
-                quiescent.store(mp.is_quiescent(), Ordering::SeqCst);
-                merge_stats.lock()[g] = mp.stats();
-                commit_stats.lock()[g] = mp.commit_stats();
-                flight.down();
-            }
-            obs_parts.lock().push(obs);
-            Ok(())
-        }));
-    }
-
-    // --- Query server thread ---
-    {
-        let cluster = cluster.clone();
-        let int_tx = int_tx.clone();
-        let flight = flight.clone();
-        let batcher = batcher.clone();
-        let delay = config.query_delay;
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            // Queries are served concurrently (real sources answer many
-            // clients at once): with a configured delay, each query gets
-            // its own short-lived worker so service time does not
-            // serialize the whole pipeline.
-            let mut workers = Vec::new();
-            while let Ok(msg) = qs_rx.recv() {
-                match msg {
-                    QsMsg::Query(v, token, request, stamp) => {
-                        let cluster = cluster.clone();
-                        let int_tx = int_tx.clone();
-                        let flight = flight.clone();
-                        let batcher = batcher.clone();
-                        let serve = move || -> Result<(), String> {
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                            // Lock serializes with commits: the answer
-                            // state is consistent with the updates
-                            // already reported.
-                            let answer = {
-                                let c = cluster.lock();
-                                answer_query(&c, &request).map_err(|e| e.to_string())?
-                            };
-                            // Seal any buffered updates before reporting
-                            // the answer: every update ≤ the answer state
-                            // was pushed under the cluster lock before the
-                            // answer was computed, so flushing here puts
-                            // them ahead of the AnswerFor in the FIFO
-                            // integrator queue — the ordering invariant
-                            // batching must not break.
-                            batcher.flush();
-                            flight.up();
-                            // The query's own stamp rides through: the
-                            // answer happens-after the question, and the
-                            // concurrent workers own no clock.
-                            let _ = int_tx.send(IntMsg::AnswerFor(v, token, answer, stamp));
-                            flight.down();
-                            Ok(())
-                        };
-                        if delay.is_zero() {
-                            serve()?;
-                        } else {
-                            workers.push(std::thread::spawn(serve));
-                        }
-                    }
-                    QsMsg::Stop => break,
-                }
-            }
-            for w in workers {
-                w.join()
-                    .map_err(|_| "query worker panicked".to_string())??;
-            }
-            Ok(())
-        }));
-    }
-
-    // --- Warehouse committer thread(s) ---
-    // Sharded: one commit scheduler per shard — a per-txn applier over
-    // its own store, WAL stream, commit log and cut stack, drawing a
-    // global ticket per applied transaction (the observed linearization
-    // `merge_shards` replays after the joins). Unsharded: the classic
-    // single committer with group-commit batching and concurrent
-    // delay workers, byte-identical to the pre-sharding runtime.
-    let mut committer_handles: Vec<std::thread::JoinHandle<Result<Vec<u64>, String>>> = Vec::new();
-    if sharded {
-        for (s, wh_rx) in wh_rxs.drain(..).enumerate() {
-            let shard_wh = stores[s].clone();
-            let shard_log = shard_logs[s].clone();
-            let shard_wal = wals.get(s).cloned();
-            let ticket = flush_tickets[s].clone();
-            let cuts = shard_cuts[s].clone();
-            let mp_txs = mp_txs.clone();
-            let flight = flight.clone();
-            let delay = config.commit_delay;
-            let obs_parts = obs_parts.clone();
-            let audit = audit.clone();
-            let watermarks = watermarks.clone();
-            let ticket_counter = ticket_counter.clone();
-            committer_handles.push(std::thread::spawn(move || -> Result<Vec<u64>, String> {
-                let mut obs = PipelineObs::new("ns");
-                let mut tickets: Vec<u64> = Vec::new();
-                while let Ok(msg) = wh_rx.recv() {
-                    match msg {
-                        WhMsg::Txn(g, txn, released, stamp) => {
-                            // Per-txn apply; a configured commit latency is
-                            // slept inline (one scheduler per shard — the
-                            // cross-txn overlap now comes from the shards).
-                            if !delay.is_zero() {
-                                std::thread::sleep(delay);
-                            }
-                            let ack = {
-                                let mut w = shard_wh.lock();
-                                if let Some(shard_wal) = &shard_wal {
-                                    let _ = shard_wal.lock().append(&WalRecord::TxnCommitted {
-                                        group: g as u64,
-                                        seq: txn.seq,
-                                    });
-                                }
-                                // SeqCst: the global ticket is drawn under
-                                // the shard lock in apply order; the merge
-                                // validates per-shard monotonicity, so the
-                                // draw must not reorder around the apply it
-                                // linearizes.
-                                tickets.push(ticket_counter.fetch_add(1, Ordering::SeqCst));
-                                let local = w.apply(&txn).map_err(|e| e.to_string())?.commit_index;
-                                shard_log.lock().push(CommitLogEntry {
-                                    group: g,
-                                    seq: txn.seq,
-                                    rows: txn.rows.clone(),
-                                    views: txn.views.clone(),
-                                });
-                                // The commit-order audit still runs (groups
-                                // are global); the read-path audit legs are
-                                // skipped sharded — see ThreadedConfig.
-                                let ack = audit.on_commit(g, txn.seq, &txn.views, &stamp);
-                                let changed: Vec<ViewId> = txn.views.iter().copied().collect();
-                                cuts.publish(local, w.read(&changed));
-                                // Watermark register last, still under the
-                                // shard lock: any register value a reader
-                                // snapshots is already resolvable in this
-                                // shard's cut stack.
-                                watermarks.publish(s, local);
-                                ack
-                            };
-                            obs.commit_apply
-                                .record(released.elapsed().as_nanos() as u64);
-                            // Group commit: this shard's TxnCommitted is
-                            // durable before its ack leaves the committer.
-                            // Concurrent shard committers share one ticket
-                            // per shard stream, so each fsync covers every
-                            // record batched behind the flush leader.
-                            if let (Some(window), Some(l)) = (flush_window, &shard_wal) {
-                                let _ = ticket.wait_flush(window, || l.lock().flush());
-                            }
-                            flight.up();
-                            let _ = mp_txs[g].send(MpMsg::Committed(txn.seq, ack));
-                            obs.note_depth("wh_to_mp", mp_txs[g].len() as u64);
-                            flight.down();
-                        }
-                        WhMsg::Stop => break,
-                    }
-                }
-                obs_parts.lock().push(obs);
-                Ok(tickets)
-            }));
-        }
+    let batch_max = if config.sequential {
+        1
     } else {
-        let wh_rx = wh_rxs.remove(0);
-        let warehouse = stores[0].clone();
-        let commit_log = shard_logs[0].clone();
-        let mp_txs = mp_txs.clone();
-        let int_tx = int_tx.clone();
-        let flight = flight.clone();
-        let delay = config.commit_delay;
-        let obs_parts = obs_parts.clone();
-        let wal = wals.first().cloned();
-        let ticket = flush_tickets[0].clone();
-        let audit = audit.clone();
-        let cuts = shard_cuts[0].clone();
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            // Commits run concurrently when a latency is configured (a
-            // real DBMS overlaps independent transactions); ordering of
-            // *dependent* transactions is the merge process's commit
-            // scheduler's responsibility (§4.3) — it never has two
-            // dependent transactions in flight under the ordered
-            // policies, so concurrent workers are safe.
-            let mut workers = Vec::new();
-            let mut local_obs = PipelineObs::new("ns");
-            // Commits applied since the committer last wrote a checkpoint
-            // (only this thread touches it; Cell keeps the closures Fn).
-            let commits_since_ck = std::cell::Cell::new(0u64);
-            // Checkpoint round (§ durable threaded runtime): ask every
-            // merge process, then the integrator, for a state snapshot
-            // through their own FIFOs, then assemble a CheckpointState
-            // under the warehouse+commit-log locks and append it. The
-            // round runs while this committer still holds undrained Txn
-            // messages in flight, so the driver cannot observe quiescence
-            // and Stop the processes mid-round.
-            let checkpoint_round = || -> Result<(), String> {
-                let mut waiting = Vec::with_capacity(mp_txs.len());
-                for tx in mp_txs.iter() {
-                    let (rtx, rrx) = crossbeam::channel::unbounded();
-                    flight.up();
-                    let _ = tx.send(MpMsg::Checkpoint(rtx));
-                    waiting.push(rrx);
-                }
-                let mut mp_snaps = Vec::with_capacity(waiting.len());
-                for rrx in waiting {
-                    mp_snaps.push(
-                        rrx.recv()
-                            .map_err(|_| "merge process exited mid-checkpoint".to_string())?,
-                    );
-                }
-                let (rtx, rrx) = crossbeam::channel::unbounded();
-                flight.up();
-                let _ = int_tx.send(IntMsg::Checkpoint(rtx));
-                let int_snap = rrx
-                    .recv()
-                    .map_err(|_| "integrator exited mid-checkpoint".to_string())?;
-                let ck = {
-                    // Same lock order as commit_run: warehouse, then log.
-                    let w = warehouse.lock();
-                    let log = commit_log.lock();
-                    // This thread is the only committer, so the commit log
-                    // has not moved since the snapshots above: a retained
-                    // txn present in the log is committed-but-unacked,
-                    // anything else is released-but-uncommitted.
-                    let committed: BTreeSet<(usize, TxnSeq)> =
-                        log.iter().map(|e| (e.group, e.seq)).collect();
-                    let mut pending = Vec::new();
-                    let mut unacked = Vec::new();
-                    let mut merges = Vec::with_capacity(mp_snaps.len());
-                    let mut installed_rel = Vec::with_capacity(mp_snaps.len());
-                    let mut installed_al = Vec::new();
-                    let mut merge_anchors = Vec::with_capacity(mp_snaps.len());
-                    for (g, snap) in mp_snaps.into_iter().enumerate() {
-                        for t in snap.retained {
-                            if committed.contains(&(g, t.seq)) {
-                                unacked.push((g as u64, t.seq));
-                            } else {
-                                pending.push((g as u64, t));
-                            }
-                        }
-                        merges.push(snap.merge);
-                        installed_rel.push(snap.installed_rel);
-                        installed_al.extend(snap.installed_al);
-                        merge_anchors.push(snap.anchor);
-                    }
-                    CheckpointState {
-                        warehouse: w.snapshot(),
-                        merges,
-                        commit_log: log
-                            .iter()
-                            .map(|e| CommitRecord {
-                                group: e.group as u64,
-                                seq: e.seq,
-                                rows: e.rows.clone(),
-                                views: e.views.clone(),
-                            })
-                            .collect(),
-                        route_lists: int_snap.route_lists,
-                        installed_rel,
-                        installed_al,
-                        pending,
-                        unacked,
-                        last_logged_src: int_snap.last_logged_src,
-                        next_id: int_snap.next_id,
-                        received: int_snap.received,
-                        dropped: int_snap.dropped,
-                        merge_anchors,
-                        routing_anchor: int_snap.anchor,
-                    }
-                };
-                if let Some(l) = &wal {
-                    // The append also compacts dead segments when the log
-                    // is rotated with compaction enabled.
-                    let _ = l.lock().append(&WalRecord::Checkpoint(Box::new(ck)));
-                }
-                Ok(())
-            };
-            // Group commit (zero commit latency): drain whatever releases
-            // are already queued behind the first and apply the whole run
-            // under ONE warehouse-lock acquisition. WAL `TxnCommitted`
-            // order, history order, and ack order all match the per-txn
-            // path — only the locking is amortized.
-            let commit_run = |run: Vec<(usize, StoreTxn, Instant, Stamp)>,
-                              obs: &mut PipelineObs|
-             -> Result<(), String> {
-                let acks = {
-                    let mut w = warehouse.lock();
-                    // Under the warehouse lock so the log's TxnCommitted
-                    // order matches the history.
-                    if let Some(l) = &wal {
-                        let mut l = l.lock();
-                        for (g, txn, _, _) in &run {
-                            let _ = l.append(&WalRecord::TxnCommitted {
-                                group: *g as u64,
-                                seq: txn.seq,
-                            });
-                        }
-                    }
-                    let base = w.commit_count();
-                    w.apply_batch(run.iter().map(|(_, t, _, _)| t))
-                        .map_err(|(_, e)| e.to_string())?;
-                    let mut log = commit_log.lock();
-                    let mut acks = Vec::with_capacity(run.len());
-                    for (i, (g, txn, released, stamp)) in run.iter().enumerate() {
-                        log.push(CommitLogEntry {
-                            group: *g,
-                            seq: txn.seq,
-                            rows: txn.rows.clone(),
-                            views: txn.views.clone(),
-                        });
-                        // WT released by the merge process -> applied at
-                        // the warehouse (same span the simulator measures
-                        // in steps).
-                        obs.commit_apply
-                            .record(released.elapsed().as_nanos() as u64);
-                        // Checked under the warehouse lock so the audit
-                        // sees commits in history order; the returned
-                        // clock stamps the ack.
-                        let ack = audit.on_commit(*g, txn.seq, &txn.views, stamp);
-                        // Publish the commit's new view versions while
-                        // still holding the warehouse lock (watermark
-                        // order = history order), stamped with the ack
-                        // clock: every certified read of this cut
-                        // happens-after the commit that produced it.
-                        let watermark = base + i as u64 + 1;
-                        let changed: Vec<ViewId> = txn.views.iter().copied().collect();
-                        let receipt = cuts.publish_stamped(
-                            watermark,
-                            w.read(&changed),
-                            audit.on_publish(watermark, &ack),
-                        );
-                        // Any GC this publish triggered must happen-after
-                        // every read of the pruned versions.
-                        audit.on_gc(&receipt.gc, &ack);
-                        acks.push((*g, txn.seq, ack));
-                    }
-                    acks
-                };
-                // Group commit: every TxnCommitted appended above is
-                // durable before any ack leaves this committer. The
-                // leader holds the flush window open so records from
-                // concurrently-arriving runs share one fsync.
-                if let (Some(window), Some(l)) = (flush_window, &wal) {
-                    let _ = ticket.wait_flush(window, || l.lock().flush());
-                }
-                // Periodic checkpoint, before the acks ship: the consumed
-                // Txn messages keep `flight` nonzero for the whole round.
-                if checkpoint_every > 0 && wal.is_some() {
-                    let n = commits_since_ck.get() + run.len() as u64;
-                    if n >= checkpoint_every {
-                        commits_since_ck.set(0);
-                        checkpoint_round()?;
-                    } else {
-                        commits_since_ck.set(n);
-                    }
-                }
-                for (g, seq, ack) in acks {
-                    flight.up();
-                    let _ = mp_txs[g].send(MpMsg::Committed(seq, ack));
-                    obs.note_depth("wh_to_mp", mp_txs[g].len() as u64);
-                    flight.down();
-                }
-                Ok(())
-            };
-            'recv: while let Ok(msg) = wh_rx.recv() {
-                match msg {
-                    WhMsg::Txn(g, txn, released, stamp) => {
-                        if delay.is_zero() {
-                            let mut run = vec![(g, txn, released, stamp)];
-                            let mut stop_after = false;
-                            while let Ok(next) = wh_rx.try_recv() {
-                                match next {
-                                    WhMsg::Txn(g2, t2, r2, s2) => run.push((g2, t2, r2, s2)),
-                                    WhMsg::Stop => {
-                                        stop_after = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            commit_run(run, &mut local_obs)?;
-                            if stop_after {
-                                break 'recv;
-                            }
-                        } else {
-                            // With a configured commit latency, commits run
-                            // concurrently (a real DBMS overlaps independent
-                            // transactions); ordering of *dependent*
-                            // transactions is the commit scheduler's
-                            // responsibility (§4.3) — it never has two
-                            // dependent transactions in flight under the
-                            // ordered policies, so workers are safe.
-                            let warehouse = warehouse.clone();
-                            let commit_log = commit_log.clone();
-                            let mp_tx = mp_txs[g].clone();
-                            let flight = flight.clone();
-                            let wal = wal.clone();
-                            let ticket = ticket.clone();
-                            let audit = audit.clone();
-                            let obs_parts = obs_parts.clone();
-                            let cuts = cuts.clone();
-                            workers.push(std::thread::spawn(move || -> Result<(), String> {
-                                let mut obs = PipelineObs::new("ns");
-                                std::thread::sleep(delay);
-                                let ack = {
-                                    let mut w = warehouse.lock();
-                                    if let Some(l) = &wal {
-                                        let _ = l.lock().append(&WalRecord::TxnCommitted {
-                                            group: g as u64,
-                                            seq: txn.seq,
-                                        });
-                                    }
-                                    let watermark =
-                                        w.apply(&txn).map_err(|e| e.to_string())?.commit_index;
-                                    commit_log.lock().push(CommitLogEntry {
-                                        group: g,
-                                        seq: txn.seq,
-                                        rows: txn.rows.clone(),
-                                        views: txn.views.clone(),
-                                    });
-                                    let ack = audit.on_commit(g, txn.seq, &txn.views, &stamp);
-                                    // Ack-stamped publish under the
-                                    // warehouse lock, exactly like the
-                                    // group-commit path above.
-                                    let changed: Vec<ViewId> = txn.views.iter().copied().collect();
-                                    let receipt = cuts.publish_stamped(
-                                        watermark,
-                                        w.read(&changed),
-                                        audit.on_publish(watermark, &ack),
-                                    );
-                                    audit.on_gc(&receipt.gc, &ack);
-                                    ack
-                                };
-                                obs.commit_apply
-                                    .record(released.elapsed().as_nanos() as u64);
-                                // Group commit across concurrent workers:
-                                // the flush leader's fsync covers every
-                                // TxnCommitted batched behind it.
-                                if let (Some(window), Some(l)) = (flush_window, &wal) {
-                                    let _ = ticket.wait_flush(window, || l.lock().flush());
-                                }
-                                flight.up();
-                                let _ = mp_tx.send(MpMsg::Committed(txn.seq, ack));
-                                obs.note_depth("wh_to_mp", mp_tx.len() as u64);
-                                flight.down();
-                                obs_parts.lock().push(obs);
-                                Ok(())
-                            }));
-                        }
-                    }
-                    WhMsg::Stop => break,
-                }
-            }
-            for w in workers {
-                w.join()
-                    .map_err(|_| "commit worker panicked".to_string())??;
-            }
-            obs_parts.lock().push(local_obs);
-            Ok(())
-        }));
-    }
-
-    // --- Integrator thread ---
-    type RoutingState = (
-        Vec<BTreeMap<UpdateId, GlobalSeq>>,
-        BTreeSet<GlobalSeq>,
-        ViewRegistry,
-    );
-    let routing_state: Arc<AuditedMutex<Option<RoutingState>>> =
-        Arc::new(AuditedMutex::new("whips.routing_state", None));
-    {
-        // The assembled integrator carries the (possibly coarsened)
-        // partitioning computed above — NOT a re-derived one, or a
-        // `groups` cap would desynchronize routing from the per-group
-        // threads and the shard topology.
-        let registry = reg.clone();
-        let vm_txs = vm_txs.clone();
-        let mp_txs = mp_txs.clone();
-        let flight = flight.clone();
-        let routing_state = routing_state.clone();
-        let obs_parts = obs_parts.clone();
-        let wals = wals.clone();
-        let ngroups = groups;
-        let audit = audit.clone();
-        handles.push(std::thread::spawn(move || -> Result<(), String> {
-            let mut obs = PipelineObs::new("ns");
-            let mut hbc = HbClock::new(1);
-            let mut group_updates: Vec<BTreeMap<UpdateId, GlobalSeq>> =
-                vec![BTreeMap::new(); ngroups];
-            let mut routed: BTreeSet<GlobalSeq> = BTreeSet::new();
-            // Checkpoint bookkeeping (durable runs): routing history from
-            // genesis and the last source commit durably logged.
-            let mut durable_routes: Vec<RoutedUpdate> = Vec::new();
-            let mut last_logged_src = GlobalSeq::INITIAL;
-            while let Ok(msg) = int_rx.recv() {
-                match msg {
-                    IntMsg::Updates(batch) => {
-                        let n = batch.len() as i64;
-                        // Per-destination accumulators for this batch: one
-                        // sealed message per touched merge group and per
-                        // relevant view, however many updates arrived.
-                        let mut mp_out: Vec<Vec<(UpdateId, BTreeSet<ViewId>, Instant)>> =
-                            vec![Vec::new(); ngroups];
-                        let mut vm_out: BTreeMap<
-                            ViewId,
-                            Vec<(mvc_viewmgr::NumberedUpdate, Instant)>,
-                        > = BTreeMap::new();
-                        for (u, sent, stamp) in batch {
-                            audit.recv(&mut hbc, &stamp);
-                            obs.src_to_int_wait.record(sent.elapsed().as_nanos() as u64);
-                            for w in &wals {
-                                // Shares the routed payload's handle. Every
-                                // shard stream carries the full source feed
-                                // so each log replays standalone.
-                                let _ = w.lock().append(&WalRecord::SourceUpdate(Arc::clone(&u)));
-                            }
-                            if !wals.is_empty() {
-                                last_logged_src = last_logged_src.max(u.seq);
-                            }
-                            for r in integrator.route(u) {
-                                routed.insert(r.numbered.seq());
-                                group_updates[r.group].insert(r.numbered.id, r.numbered.seq());
-                                if !wals.is_empty() {
-                                    durable_routes.push(RoutedUpdate {
-                                        group: r.group as u64,
-                                        id: r.numbered.id,
-                                        update: Arc::clone(&r.numbered.update),
-                                        rel: r.rel.clone(),
-                                    });
-                                }
-                                mp_out[r.group].push((
-                                    r.numbered.id,
-                                    r.rel.clone(),
-                                    Instant::now(),
-                                ));
-                                for v in &r.rel {
-                                    // seal: fanning the routed update out
-                                    // into each relevant view's batch
-                                    // clones the Arc handle, not the payload
-                                    vm_out
-                                        .entry(*v)
-                                        .or_default()
-                                        .push((r.numbered.clone(), Instant::now()));
-                                }
-                            }
-                        }
-                        // REL batches go out before any update batch: a VM
-                        // can only produce an action for an update after
-                        // its merge group already holds the REL entry,
-                        // exactly as with per-update sends.
-                        for (g, rels) in mp_out.into_iter().enumerate() {
-                            if rels.is_empty() {
-                                continue;
-                            }
-                            flight.up();
-                            let _ = mp_txs[g].send(MpMsg::Rels(rels, audit.stamp(&mut hbc)));
-                            obs.note_depth("int_to_mp", mp_txs[g].len() as u64);
-                        }
-                        for (v, ups) in vm_out {
-                            flight.up();
-                            let _ = vm_txs[&v].send(VmMsg::Updates(ups, audit.stamp(&mut hbc)));
-                            obs.note_depth("int_to_vm", vm_txs[&v].len() as u64);
-                        }
-                        flight.down_n(n);
-                    }
-                    IntMsg::AnswerFor(v, token, answer, stamp) => {
-                        audit.recv(&mut hbc, &stamp);
-                        flight.up();
-                        let _ =
-                            vm_txs[&v].send(VmMsg::Answer(token, answer, audit.stamp(&mut hbc)));
-                        flight.down();
-                    }
-                    IntMsg::Checkpoint(reply) => {
-                        // Anchor at this point in the integrator FIFO:
-                        // every SourceUpdate this thread logged before has
-                        // a smaller index and is covered by route_lists.
-                        let anchor = wals.first().map_or(0, |w| w.lock().next_index());
-                        let (next_id, received, dropped) = integrator.counters();
-                        let _ = reply.send(IntCkSnapshot {
-                            route_lists: durable_routes.clone(),
-                            next_id,
-                            received,
-                            dropped,
-                            last_logged_src,
-                            anchor,
-                        });
-                        flight.down();
-                    }
-                    IntMsg::Stop => break,
-                }
-            }
-            obs_parts.lock().push(obs);
-            *routing_state.lock() = Some((group_updates, routed, registry));
-            Ok(())
-        }));
-    }
-
-    // --- Concurrent reader (§1.1 customer inquiry) ---
-    let reader_stop = Arc::new(AtomicBool::new(false));
-    let reader_handle = if config.reader_views.is_empty() {
-        None
-    } else {
-        let read_stores = stores.clone();
-        let owned = shard_views.clone();
-        let views = config.reader_views.clone();
-        let interval = config.reader_interval;
-        let stop = reader_stop.clone();
-        Some(std::thread::spawn(move || {
-            let mut samples = Vec::new();
-            // SeqCst: plain stop flag; strongest order costs nothing here.
-            while !stop.load(Ordering::SeqCst) {
-                // One shard lock at a time, never nested: shards own
-                // disjoint view sets, so each sub-read is a consistent
-                // cut of its shard and the union is well defined.
-                // Unsharded the single store owns every view — identical
-                // to the classic one-lock sample.
-                let mut sample = BTreeMap::new();
-                for (s, store) in read_stores.iter().enumerate() {
-                    let wanted: Vec<ViewId> = views
-                        .iter()
-                        .copied()
-                        .filter(|v| owned[s].contains(v))
-                        .collect();
-                    if wanted.is_empty() {
-                        continue;
-                    }
-                    let w = store.lock();
-                    sample.extend(w.read(&wanted));
-                }
-                samples.push(sample);
-                std::thread::sleep(interval);
-            }
-            samples
-        }))
+        config.batch_max
     };
-
-    // --- MVCC reader fleet (closed loop) ---
-    // K reader threads hammer multi-view snapshot reads through the
-    // version store — never taking the warehouse lock, so readers and
-    // commits only contend on the (short) version-store mutex. Each
-    // iteration alternates reading the newest cut with a re-read at the
-    // session's own watermark (exercising the monotonic-session path).
-    // Observations are retained and certified after the run.
-    let mvcc_reader_stop = Arc::new(AtomicBool::new(false));
-    let mut mvcc_reader_handles: Vec<std::thread::JoinHandle<ReaderYield>> = Vec::new();
-    for k in 0..config.readers {
-        let think = config.reader_think_time;
-        let stop = mvcc_reader_stop.clone();
-        let obs_parts = obs_parts.clone();
-        // Only the first reader carries an injected fault: one panicking
-        // thread among healthy peers is the interesting shutdown case.
-        let fault = if k == 0 { config.fault.clone() } else { None };
-        if sharded {
-            // Cross-shard frontier reader: per-shard sessions plus the
-            // watermark-register protocol. The read-path hb audit is
-            // skipped here (see `ThreadedConfig::shards`); certification
-            // comes from `Oracle::check_sharded` + remapped `check_reads`.
-            let mut sessions: Vec<_> = shard_cuts.iter().map(|c| c.open_session()).collect();
-            let views = shard_views.clone();
-            let watermarks = watermarks.clone();
-            mvcc_reader_handles.push(std::thread::spawn(move || -> ReaderYield {
-                let mut obs = PipelineObs::new("ns");
-                let mut shard_observations: Vec<Vec<mvc_readpath::ReadObservation>> =
-                    vec![Vec::new(); sessions.len()];
-                let mut frontiers = Vec::new();
-                let mut seq = 0u64;
-                let mut reads_done = 0u64;
-                // SeqCst: plain stop flag; strongest order costs nothing here.
-                while !stop.load(Ordering::SeqCst) {
-                    let begun = Instant::now();
-                    // Frontier protocol: snapshot every shard's register
-                    // FIRST, then read each shard at its entry. Registers
-                    // are monotone (fetch_max) and writers publish only
-                    // after the cut exists under the shard lock, so every
-                    // target is published and ≥ this reader's previous
-                    // target — the combined cut is a certifiable
-                    // cross-shard snapshot and per-reader frontiers are
-                    // pointwise monotone.
-                    let frontier = watermarks.snapshot();
-                    frontiers.push(ReadFrontier {
-                        reader: k,
-                        seq,
-                        watermarks: frontier.clone(),
-                    });
-                    seq += 1;
-                    for (s, session) in sessions.iter_mut().enumerate() {
-                        let out = session
-                            .read_at(frontier[s], &views[s])
-                            .expect("frontier ≤ shard head by publication order");
-                        obs.note_read(out.staleness, out.chain_len, out.gc_lag);
-                        shard_observations[s].push(out.observation);
-                    }
-                    obs.read_latency.record(begun.elapsed().as_nanos() as u64);
-                    reads_done += 1;
-                    if let Some(ThreadFault::ReaderPanic { after_reads }) = fault {
-                        if reads_done >= after_reads {
-                            panic!("injected reader fault after {reads_done} reads");
-                        }
-                    }
-                    if !think.is_zero() {
-                        std::thread::sleep(think);
-                    }
-                }
-                obs_parts.lock().push(obs);
-                ReaderYield {
-                    observations: Vec::new(),
-                    shard_observations,
-                    frontiers,
-                }
-            }));
-            continue;
-        }
-        let mut session = shard_cuts[0].open_session();
-        let views = shard_views[0].clone();
-        let audit = audit.clone();
-        mvcc_reader_handles.push(std::thread::spawn(move || -> ReaderYield {
-            let mut obs = PipelineObs::new("ns");
-            let mut hbc = HbClock::new(2000 + k as u32);
-            let mut observations = Vec::new();
-            let mut at_head = true;
-            let mut reads_done = 0u64;
-            // SeqCst: plain stop flag; strongest order costs nothing here.
-            while !stop.load(Ordering::SeqCst) {
-                let begun = Instant::now();
-                // The pre-read clock snapshot pins the session in the
-                // version store: any GC while this pin is live is
-                // licensed by (joins) it, proving the reclamation
-                // happens-after everything this reader has seen.
-                let result = if at_head {
-                    session.read_latest_stamped(&views, audit.reader_stamp(&mut hbc))
-                } else {
-                    let seen = session.last_seen();
-                    session.read_at_stamped(seen, &views, audit.reader_stamp(&mut hbc))
-                };
-                at_head = !at_head;
-                let out = result.expect("chains seeded at build, target ≤ head");
-                // Certified read: must happen-after the commit that
-                // published its watermark. The returned post-join
-                // clock licenses any GC this read's pin advance
-                // triggered.
-                let post = audit.on_read(
-                    out.observation.session,
-                    out.observation.cut.watermark,
-                    &out.publish_stamp,
-                    &mut hbc,
-                );
-                audit.on_gc(&out.gc, &post);
-                obs.read_latency.record(begun.elapsed().as_nanos() as u64);
-                obs.note_read(out.staleness, out.chain_len, out.gc_lag);
-                observations.push(out.observation);
-                reads_done += 1;
-                if let Some(ThreadFault::ReaderPanic { after_reads }) = fault {
-                    if reads_done >= after_reads {
-                        panic!("injected reader fault after {reads_done} reads");
-                    }
-                }
-                if !think.is_zero() {
-                    std::thread::sleep(think);
-                }
-            }
-            obs_parts.lock().push(obs);
-            ReaderYield {
-                observations,
-                shard_observations: Vec::new(),
-                frontiers: Vec::new(),
-            }
-        }));
-    }
-
-    // --- Queue-depth sampler ---
-    // Senders gauge a channel only at send time, so between bursts the
-    // recorded depths never decay; this thread samples every channel on a
-    // fixed interval so the gauges also see idle-time drain-down.
-    let sampler_stop = Arc::new(AtomicBool::new(false));
-    let sampler_handle = if config.depth_sample_interval.is_zero() {
-        None
-    } else {
-        let int_tx = int_tx.clone();
-        let qs_tx = qs_tx.clone();
-        let wh_txs = wh_txs.clone();
-        let vm_txs = vm_txs.clone();
-        let mp_txs = mp_txs.clone();
-        let interval = config.depth_sample_interval;
-        let stop = sampler_stop.clone();
-        let obs_parts = obs_parts.clone();
-        Some(std::thread::spawn(move || {
-            let mut obs = PipelineObs::new("ns");
-            // SeqCst: plain stop flag; strongest order costs nothing here.
-            while !stop.load(Ordering::SeqCst) {
-                obs.note_depth("src_to_int", int_tx.len() as u64);
-                obs.note_depth("vm_to_qs", qs_tx.len() as u64);
-                for tx in &wh_txs {
-                    obs.note_depth("mp_to_wh", tx.len() as u64);
-                }
-                for tx in vm_txs.values() {
-                    obs.note_depth("int_to_vm", tx.len() as u64);
-                }
-                for tx in &mp_txs {
-                    obs.note_depth("int_to_mp", tx.len() as u64);
-                }
-                std::thread::sleep(interval);
-            }
-            obs_parts.lock().push(obs);
-        }))
+    let batcher = SrcBatcher::new(batch_max, config.batch_deadline, net.int_tx.clone());
+    let crew = Crew {
+        config: &config,
+        topology: &topology,
+        shards: &shards,
+        wals: &wals,
+        net: net.clone(),
+        cluster: cluster.clone(),
+        batcher: Arc::new(batcher),
+        stop: Arc::new(AtomicBool::new(false)),
     };
+    let workers = crew.spawn(assembly, inboxes);
 
     // --- Driver (this thread) ---
-    let started = Instant::now();
     let injected = workload.len() as u64;
-    let mut driver_obs = PipelineObs::new("ns");
-    let queue_depths = |vm_txs: &BTreeMap<ViewId, crossbeam::channel::Sender<VmMsg>>,
-                        mp_txs: &[crossbeam::channel::Sender<MpMsg>]|
-     -> Vec<(String, usize)> {
-        let mut d = vec![
-            ("src_to_int".to_string(), int_tx.len()),
-            ("vm_to_qs".to_string(), qs_tx.len()),
-            (
-                "mp_to_wh".to_string(),
-                wh_txs.iter().map(crossbeam::channel::Sender::len).sum(),
-            ),
-        ];
-        for (v, tx) in vm_txs {
-            d.push((format!("vm:{v}"), tx.len()));
-        }
-        for (g, tx) in mp_txs.iter().enumerate() {
-            d.push((format!("mp:{g}"), tx.len()));
-        }
-        d
-    };
-    let quiescent_now = |flight: &Flight| -> bool {
-        flight.zero()
-            // SeqCst: both flag families pair with the SeqCst stores in
-            // the VM/MP loops, so this composite test is conservative.
-            && vm_idle.lock().values().all(|f| f.load(Ordering::SeqCst))
-            && mp_quiescent.lock().iter().all(|f| f.load(Ordering::SeqCst))
-    };
-    // Inject + drain run inside a closure so that EVERY exit — success,
-    // drain timeout, source error — falls through to the unconditional
-    // shutdown below. The old early returns leaked every worker thread
-    // (and the reader/sampler, which never saw their stop flags) on the
-    // timeout paths.
-    let mut driver_hbc = HbClock::new(0);
-    let run_result: Result<Duration, SimError> = (|| {
-        for t in workload {
-            if config.sequential {
-                // wait for pipeline quiescence before the next transaction
-                let deadline = Instant::now() + config.drain_timeout;
-                loop {
-                    if quiescent_now(&flight) {
-                        break;
-                    }
-                    if Instant::now() > deadline {
-                        return Err(SimError::DrainTimeout {
-                            in_flight: flight.count(),
-                            queue_depths: queue_depths(&vm_txs, &mp_txs),
-                        });
-                    }
-                    std::thread::yield_now();
-                }
-            }
-            {
-                let mut c = cluster.lock();
-                let res = if t.global {
-                    c.execute_global(t.source, t.writes)
-                } else {
-                    c.execute(t.source, t.writes)
-                }
-                .map_err(SimError::Source)?;
-                // push under the lock so answers computed later cannot
-                // overtake this update in the integrator queue; the
-                // batcher seals full/stale batches inside the push
-                flight.up();
-                batcher.push(Arc::new(res), audit.stamp(&mut driver_hbc));
-                driver_obs.note_depth("src_to_int", int_tx.len() as u64);
-            }
-            if !config.pacing.is_zero() {
-                std::thread::sleep(config.pacing);
-            }
-        }
-        // The workload is done: seal the tail batch, or the drain below
-        // would wait on updates no push will ever flush.
-        batcher.flush();
-
-        // --- Drain ---
-        let deadline = Instant::now() + config.drain_timeout;
-        let mut flushed_all = false;
-        loop {
-            if quiescent_now(&flight) {
-                if flushed_all {
-                    break;
-                }
-                // one full flush round even when everything looks idle
-                for tx in vm_txs.values() {
-                    flight.up();
-                    let _ = tx.send(VmMsg::Flush);
-                }
-                for tx in &mp_txs {
-                    flight.up();
-                    let _ = tx.send(MpMsg::Flush);
-                }
-                flushed_all = true;
-            } else if flight.zero() {
-                // stalled with nothing in flight: nudge batching components
-                for (v, idle) in vm_idle.lock().iter() {
-                    // SeqCst: matches the store in the VM loop.
-                    if !idle.load(Ordering::SeqCst) {
-                        flight.up();
-                        let _ = vm_txs[v].send(VmMsg::Flush);
-                    }
-                }
-                for tx in &mp_txs {
-                    flight.up();
-                    let _ = tx.send(MpMsg::Flush);
-                }
-            }
-            if Instant::now() > deadline {
-                return Err(SimError::DrainTimeout {
-                    in_flight: flight.count(),
-                    queue_depths: queue_depths(&vm_txs, &mp_txs),
-                });
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        Ok(started.elapsed())
-    })();
+    let mut pipeline = PipelineObs::new("ns");
+    // Every exit of the inject + drain phase — success, drain timeout,
+    // source error — falls through to the unconditional shutdown below.
+    let run_result = crew.drive(workload, &mut pipeline);
     // Drain diagnostics regardless of outcome — the same counters a
     // DrainTimeout error carries; a clean run must show 0 / all-empty.
-    let in_flight_at_end = flight.count();
-    let queue_depths_at_end = queue_depths(&vm_txs, &mp_txs);
+    let in_flight_at_end = net.flight.count();
+    let queue_depths_at_end = net.queue_depths();
 
     // --- Shutdown (unconditional: every spawned thread is joined on
     // every path; a timed-out run still tears down cleanly, it just
     // waits for in-flight work to finish behind the Stop messages) ---
-    // SeqCst: stop flags for the reader/sampler loops above.
-    reader_stop.store(true, Ordering::SeqCst);
-    mvcc_reader_stop.store(true, Ordering::SeqCst);
-    // SeqCst: same plain stop-flag pattern as the two above.
-    sampler_stop.store(true, Ordering::SeqCst);
-    let _ = int_tx.send(IntMsg::Stop);
-    let _ = qs_tx.send(QsMsg::Stop);
-    for tx in &wh_txs {
-        let _ = tx.send(WhMsg::Stop);
-    }
-    for tx in vm_txs.values() {
-        let _ = tx.send(VmMsg::Stop);
-    }
-    for tx in &mp_txs {
-        let _ = tx.send(MpMsg::Stop);
-    }
-    let mut thread_errors: Vec<String> = Vec::new();
-    for h in handles {
-        match h.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => thread_errors.push(format!("thread error: {e}")),
-            Err(p) => thread_errors.push(format!("thread panicked: {}", panic_message(p))),
-        }
-    }
-    // Sharded commit schedulers hand back their drawn tickets in spawn
-    // (= shard) order; a failed shard contributes an empty vector and a
-    // thread error that aborts the run before any merge is attempted.
-    let mut shard_tickets: Vec<Vec<u64>> = Vec::new();
-    for h in committer_handles {
-        match h.join() {
-            Ok(Ok(t)) => shard_tickets.push(t),
-            Ok(Err(e)) => {
-                thread_errors.push(format!("committer error: {e}"));
-                shard_tickets.push(Vec::new());
-            }
-            Err(p) => {
-                thread_errors.push(format!("committer panicked: {}", panic_message(p)));
-                shard_tickets.push(Vec::new());
-            }
-        }
-    }
-    let reader_samples = match reader_handle {
-        Some(h) => match h.join() {
-            Ok(samples) => samples,
-            Err(p) => {
-                thread_errors.push(format!("reader panicked: {}", panic_message(p)));
-                Vec::new()
-            }
-        },
-        None => Vec::new(),
-    };
-    let mut read_observations = Vec::new();
-    let mut reader_shard_obs: Vec<Vec<mvc_readpath::ReadObservation>> = vec![Vec::new(); shards];
-    let mut frontiers: Vec<ReadFrontier> = Vec::new();
-    for h in mvcc_reader_handles {
-        match h.join() {
-            Ok(y) => {
-                read_observations.extend(y.observations);
-                for (s, o) in y.shard_observations.into_iter().enumerate() {
-                    reader_shard_obs[s].extend(o);
-                }
-                // Concatenation preserves each reader's (reader, seq)
-                // order — all check_sharded's monotonicity pass needs.
-                frontiers.extend(y.frontiers);
-            }
-            Err(p) => thread_errors.push(format!("mvcc reader panicked: {}", panic_message(p))),
-        }
-    }
-    if let Some(h) = sampler_handle {
-        if let Err(p) = h.join() {
-            thread_errors.push(format!("sampler panicked: {}", panic_message(p)));
-        }
-    }
-    // All logging threads have exited: flush whatever the fault left.
-    for w in &wals {
-        let _ = w.lock().finalize();
-    }
+    // SeqCst: plain stop flag for the reader and sampler loops.
+    crew.stop.store(true, Ordering::SeqCst);
+    net.stop_all();
+    drop(crew);
+    let (joined, errors) = join_workers(workers);
+    let wal_fsyncs = wals.finalize();
     // A worker failure is the root cause — report it even when the
     // driver's own verdict was a drain timeout it provoked.
-    if !thread_errors.is_empty() {
+    if !errors.is_empty() {
         return Err(SimError::NonQuiescent(format!(
             "worker thread failure: {}",
-            thread_errors.join("; ")
+            errors.join("; ")
         )));
     }
+    joined.obs.iter().for_each(|part| pipeline.merge(part));
     let elapsed = run_result?;
-    let hb_violations = audit.take_violations();
+    let hb_violations = net.audit.take_violations();
     // Lock-order cycles from the process-global lockdep graph, filtered
     // to this runtime's namespaces (the graph is shared by every audited
     // lock in the process, including other tests' fixtures).
@@ -2151,122 +1172,43 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
         .filter(|c| c.within_prefixes(&["whips.", "readpath.", "warehouse.", "shard"]))
         .collect();
 
-    let (group_updates, routed, registry) = routing_state
-        .lock()
-        .take()
-        .expect("integrator published routing state");
+    let integrator = joined.integrator.expect("integrator joined cleanly");
     let cluster = Arc::try_unwrap(cluster)
         .map_err(|_| SimError::NonQuiescent("cluster still shared".into()))?
         .into_inner();
-    let mut final_stores: Vec<Warehouse> = Vec::with_capacity(shards);
-    for st in stores {
-        final_stores.push(
-            Arc::try_unwrap(st)
-                .map_err(|_| SimError::NonQuiescent("warehouse still shared".into()))?
-                .into_inner(),
-        );
-    }
-    let mut final_logs: Vec<Vec<CommitLogEntry>> = Vec::with_capacity(shards);
-    for lg in shard_logs {
-        final_logs.push(
-            Arc::try_unwrap(lg)
-                .map_err(|_| SimError::NonQuiescent("commit log still shared".into()))?
-                .into_inner(),
-        );
-    }
-
-    // Sharded: replay the observed global-ticket linearization into one
-    // store (shard streams are view-disjoint, so ticket order is a legal
-    // interleaving — §6.1), splice the global commit log in that order,
-    // remap every shard-local read observation into the global watermark
-    // space, and retain the per-shard planes for `Oracle::check_sharded`.
-    let (warehouse, commit_log, shard_plane) = if sharded {
-        let shard_histories: Vec<Vec<mvc_warehouse::CommittedTxn>> =
-            final_stores.iter().map(|w| w.history().to_vec()).collect();
-        let shard_commit_counts: Vec<u64> =
-            final_stores.iter().map(Warehouse::commit_count).collect();
-        let inputs: Vec<ShardInput> = final_stores
-            .into_iter()
-            .zip(&shard_tickets)
-            .zip(&shard_initials)
-            .map(|((warehouse, tickets), initials)| ShardInput {
-                warehouse,
-                tickets: tickets.clone(),
-                initial_fingerprints: initials.clone(),
-            })
-            .collect();
-        let merge = merge_shards(inputs)
-            .map_err(|e| SimError::NonQuiescent(format!("shard merge rejected: {e}")))?;
-        let commit_log: Vec<CommitLogEntry> = merge
-            .order
-            .iter()
-            .map(|&(s, i)| final_logs[s][i].clone())
-            .collect();
-        for (s, obs) in reader_shard_obs.iter().enumerate() {
-            read_observations.extend(remap_observations(s, obs, &merge.local_to_global[s]));
-        }
-        let mut shard_reports = Vec::with_capacity(shards);
-        for (s, history) in shard_histories.into_iter().enumerate() {
-            shard_reports.push(ShardReport {
-                commit_log: std::mem::take(&mut final_logs[s]),
-                history,
-                initial_fingerprints: shard_initials[s].clone(),
-                read_observations: std::mem::take(&mut reader_shard_obs[s]),
-                local_to_global: merge.local_to_global[s].clone(),
-                commits: shard_commit_counts[s],
-            });
-        }
-        (
-            merge.warehouse,
-            commit_log,
-            Some(ShardPlane {
-                assignment: topology.assignment().to_vec(),
-                shards: shard_reports,
-                frontiers,
-            }),
-        )
-    } else {
-        let warehouse = final_stores.pop().expect("one store unsharded");
-        let commit_log = final_logs.pop().expect("one log unsharded");
-        (warehouse, commit_log, None)
-    };
-
-    let metrics = SimMetrics {
-        injected,
-        commits: commit_log.len() as u64,
-        wal_fsyncs: wals.iter().map(|w| w.lock().fsyncs()).sum(),
-        ..SimMetrics::default()
-    };
-
+    let mut read_observations = joined.read_observations;
+    let (warehouse, commit_log, shard_plane) = stitch_history(
+        shards,
+        &topology,
+        joined.shard_observations,
+        joined.frontiers,
+        &mut read_observations,
+    )?;
     let updates_per_sec = if elapsed.as_secs_f64() > 0.0 {
         injected as f64 / elapsed.as_secs_f64()
     } else {
         f64::INFINITY
     };
-
-    let final_merge_stats = merge_stats.lock().clone();
-    let final_commit_stats = commit_stats.lock().clone();
-
-    // Merge per-thread observability shards into one pipeline view.
-    let mut pipeline = driver_obs;
-    for part in obs_parts.lock().drain(..) {
-        pipeline.merge(&part);
-    }
-
+    let metrics = SimMetrics {
+        injected,
+        commits: commit_log.len() as u64,
+        wal_fsyncs,
+        ..SimMetrics::default()
+    };
     Ok((
         SimReport {
             cluster,
             warehouse,
-            registry,
+            routed: integrator.routed(),
+            registry: integrator.registry().clone(),
             partitioning,
-            group_updates,
+            group_updates: integrator.group_updates,
             metrics,
-            merge_stats: final_merge_stats,
-            commit_stats: final_commit_stats,
+            merge_stats: joined.merge_stats,
+            commit_stats: joined.commit_stats,
             guarantees,
             group_views,
             commit_log,
-            routed,
             activations: BTreeMap::new(),
             pipeline,
             read_observations,
@@ -2276,7 +1218,7 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
         WallClock {
             elapsed,
             updates_per_sec,
-            reader_samples,
+            reader_samples: joined.reader_samples,
             in_flight_at_end,
             queue_depths_at_end,
             hb_violations,
@@ -2285,13 +1227,936 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
     ))
 }
 
+/// Take the stores back from their locks and produce the run's one
+/// history. Unsharded that is the single store as is. Sharded: replay
+/// the observed global-ticket linearization into one store (shard
+/// streams are view-disjoint, so ticket order is a legal interleaving —
+/// §6.1), splice the global commit log in that order, remap every
+/// shard-local read observation into the global watermark space
+/// (appended to `read_observations`), and retain the per-shard planes
+/// for `Oracle::check_sharded`.
+fn stitch_history(
+    shards: Vec<Arc<Shard>>,
+    topology: &ShardTopology,
+    mut shard_observations: Vec<Vec<ReadObservation>>,
+    frontiers: Vec<ReadFrontier>,
+    read_observations: &mut Vec<ReadObservation>,
+) -> Result<(Warehouse, Vec<CommitLogEntry>, Option<ShardPlane>), SimError> {
+    let mut stores = Vec::with_capacity(shards.len());
+    let mut initials = Vec::with_capacity(shards.len());
+    shard_observations.resize_with(shards.len(), Vec::new);
+    for shard in shards {
+        let shard = Arc::try_unwrap(shard)
+            .map_err(|_| SimError::NonQuiescent("warehouse still shared".into()))?;
+        stores.push(shard.store.into_inner());
+        initials.push(shard.initials);
+    }
+    if stores.len() == 1 {
+        let store = stores.pop().expect("one store unsharded");
+        return Ok((store.warehouse, store.commit_log, None));
+    }
+    let histories: Vec<Vec<mvc_warehouse::CommittedTxn>> = stores
+        .iter()
+        .map(|st| st.warehouse.history().to_vec())
+        .collect();
+    let mut logs = Vec::with_capacity(stores.len());
+    let mut inputs = Vec::with_capacity(stores.len());
+    for (st, initial) in stores.into_iter().zip(&initials) {
+        logs.push(st.commit_log);
+        inputs.push(ShardInput {
+            warehouse: st.warehouse,
+            tickets: st.tickets,
+            initial_fingerprints: initial.clone(),
+        });
+    }
+    let merge = merge_shards(inputs)
+        .map_err(|e| SimError::NonQuiescent(format!("shard merge rejected: {e}")))?;
+    let commit_log = merge
+        .order
+        .iter()
+        .map(|&(s, i)| logs[s][i].clone())
+        .collect();
+    let mut reports = Vec::with_capacity(logs.len());
+    for (s, (history, commit_log)) in histories.into_iter().zip(logs).enumerate() {
+        let local_to_global = merge.local_to_global[s].clone();
+        let observations = std::mem::take(&mut shard_observations[s]);
+        read_observations.extend(remap_observations(s, &observations, &local_to_global));
+        reports.push(ShardReport {
+            commits: history.len() as u64,
+            commit_log,
+            history,
+            initial_fingerprints: std::mem::take(&mut initials[s]),
+            read_observations: observations,
+            local_to_global,
+        });
+    }
+    let plane = ShardPlane {
+        assignment: topology.assignment().to_vec(),
+        shards: reports,
+        frontiers,
+    };
+    Ok((merge.warehouse, commit_log, Some(plane)))
+}
+
+/// What every spawned thread's context — and the driver's — is cut from.
+struct Crew<'a> {
+    config: &'a ThreadedConfig,
+    topology: &'a ShardTopology,
+    shards: &'a [Arc<Shard>],
+    wals: &'a WalStreams,
+    net: Arc<Net>,
+    cluster: Arc<AuditedMutex<SourceCluster>>,
+    batcher: Arc<SrcBatcher>,
+    /// Stops the reader and sampler loops.
+    stop: Arc<AtomicBool>,
+}
+
+impl Crew<'_> {
+    /// Spawn one thread per Figure 1 process, plus the readers and the
+    /// queue-depth sampler. Infallible: nothing here may leave a spawned
+    /// thread behind.
+    fn spawn(&self, mut assembly: Assembly, inboxes: Inboxes) -> Vec<Worker> {
+        let mut workers: Vec<Worker> = Vec::new();
+        // Checkpoint rounds are coordinated by the single zero-delay
+        // committer; `refuse_unsupported` rejected everything else.
+        let durability = self.config.durability.as_ref();
+        let every = durability.map_or(0, |d| d.checkpoint_every);
+        if every > 0 {
+            assembly.keep_checkpoint_state();
+        }
+        let partitioning = assembly.integrator.partitioning().clone();
+        for ((id, part), rx) in assembly.vms.into_iter().zip(inboxes.vm) {
+            let group = partitioning.group_of_view(id).unwrap_or(0);
+            let shard = self.shard_of(group);
+            let run = move || vm_thread(id, part, &rx, group, &shard);
+            workers.push(("view manager", std::thread::spawn(run)));
+        }
+        // Shared epoch for the per-group activity spans recorded by the
+        // MP threads: overlapping spans across groups demonstrate
+        // concurrency.
+        let epoch = Instant::now();
+        for (mut part, rx) in assembly.mps.into_iter().zip(inboxes.mp) {
+            // Paint transitions feed both the WAL and the HB audit.
+            if self.wals.attached() || cfg!(feature = "hb-audit") {
+                part.mp.enable_paint_events();
+            }
+            let shard = self.shard_of(part.group());
+            let run = move || mp_thread(part, &rx, &shard, epoch);
+            workers.push(("merge process", std::thread::spawn(run)));
+        }
+        {
+            let (cluster, batcher) = (self.cluster.clone(), self.batcher.clone());
+            let (net, rx, delay) = (self.net.clone(), inboxes.qs, self.config.query_delay);
+            let run = move || qs_thread(&rx, &cluster, &batcher, &net, delay);
+            workers.push(("query server", std::thread::spawn(run)));
+        }
+        for (shard, rx) in self.shards.iter().cloned().zip(inboxes.wh) {
+            let round = (every > 0).then_some(CheckpointRound { every, since: 0 });
+            let delay = self.config.commit_delay;
+            let run = move || committer_thread(&shard, &rx, delay, round);
+            workers.push(("committer", std::thread::spawn(run)));
+        }
+        {
+            // The assembled integrator carries the (possibly coarsened)
+            // partitioning everything above was cut from — NOT a
+            // re-derived one, or a `groups` cap would desynchronize
+            // routing from the per-group threads and the shard topology.
+            let (part, rx) = (assembly.integrator, inboxes.int);
+            let (net, wals) = (self.net.clone(), self.wals.clone());
+            let run = move || int_thread(part, &rx, &net, &wals);
+            workers.push(("integrator", std::thread::spawn(run)));
+        }
+        self.spawn_readers(&mut workers);
+        workers
+    }
+
+    /// The shard owning merge group `group`: where the group's threads
+    /// log and its releases commit.
+    fn shard_of(&self, group: usize) -> Arc<Shard> {
+        self.shards[self.topology.shard_of(group)].clone()
+    }
+
+    /// The §1.1 inquiry reader, the MVCC reader fleet, and the
+    /// queue-depth sampler — everything that runs until `stop`.
+    fn spawn_readers(&self, workers: &mut Vec<Worker>) {
+        let config = self.config;
+        if !config.reader_views.is_empty() {
+            let (shards, stop) = (self.shards.to_vec(), self.stop.clone());
+            let (views, interval) = (config.reader_views.clone(), config.reader_interval);
+            let run = move || Ok(inquiry_reader(&shards, &views, interval, &stop));
+            workers.push(("reader", std::thread::spawn(run)));
+        }
+        for k in 0..config.readers {
+            let pace = ReaderPace {
+                k,
+                think: config.reader_think_time,
+                stop: self.stop.clone(),
+                // Only the first reader carries an injected fault: one
+                // panicking thread among healthy peers is the
+                // interesting shutdown case.
+                fault: config.fault.clone().filter(|_| k == 0),
+            };
+            let run: Box<dyn FnOnce() -> Yield + Send> = match &self.shards[0].plane {
+                Some(plane) => {
+                    let sessions = self
+                        .shards
+                        .iter()
+                        .map(|sh| (sh.cuts.open_session(), sh.views.clone()))
+                        .collect();
+                    let watermarks = plane.watermarks.clone();
+                    Box::new(move || frontier_reader(&pace, sessions, &watermarks))
+                }
+                None => {
+                    let session = self.shards[0].cuts.open_session();
+                    let views = self.shards[0].views.clone();
+                    let audit = self.net.audit.clone();
+                    Box::new(move || mvcc_reader(&pace, session, &views, &audit))
+                }
+            };
+            workers.push(("mvcc reader", std::thread::spawn(move || Ok(run()))));
+        }
+        if !config.depth_sample_interval.is_zero() {
+            let (net, stop) = (self.net.clone(), self.stop.clone());
+            let interval = config.depth_sample_interval;
+            let run = move || Ok(depth_sampler(&net, interval, &stop));
+            workers.push(("sampler", std::thread::spawn(run)));
+        }
+    }
+
+    /// Inject the workload at the sources, then drain to quiescence.
+    fn drive(
+        &self,
+        workload: Vec<WorkloadTxn>,
+        obs: &mut PipelineObs,
+    ) -> Result<Duration, SimError> {
+        let (config, net) = (self.config, &self.net);
+        let started = Instant::now();
+        let mut hbc = HbClock::new(0);
+        for t in workload {
+            if config.sequential {
+                // wait for pipeline quiescence before the next transaction
+                let deadline = Instant::now() + config.drain_timeout;
+                while !net.quiescent() {
+                    if Instant::now() > deadline {
+                        return Err(net.drain_timeout());
+                    }
+                    std::thread::yield_now();
+                }
+            }
+            {
+                let mut c = self.cluster.lock();
+                let res = if t.global {
+                    c.execute_global(t.source, t.writes)
+                } else {
+                    c.execute(t.source, t.writes)
+                }
+                .map_err(SimError::Source)?;
+                // push under the lock so answers computed later cannot
+                // overtake this update in the integrator queue; the
+                // batcher seals full/stale batches inside the push
+                net.flight.up();
+                self.batcher.push(Arc::new(res), net.audit.stamp(&mut hbc));
+                obs.note_depth("src_to_int", net.int_tx.len() as u64);
+            }
+            if !config.pacing.is_zero() {
+                std::thread::sleep(config.pacing);
+            }
+        }
+        // The workload is done: seal the tail batch, or the drain below
+        // would wait on updates no push will ever flush.
+        self.batcher.flush();
+
+        let deadline = Instant::now() + config.drain_timeout;
+        let mut flushed_all = false;
+        loop {
+            if net.quiescent() {
+                if flushed_all {
+                    return Ok(started.elapsed());
+                }
+                // one full flush round even when everything looks idle
+                for tx in net.vm_txs.values() {
+                    net.flight.up();
+                    let _ = tx.send(VmMsg::Flush);
+                }
+                for tx in &net.mp_txs {
+                    net.flight.up();
+                    let _ = tx.send(MpMsg::Flush);
+                }
+                flushed_all = true;
+            } else if net.flight.zero() {
+                // stalled with nothing in flight: nudge batching components
+                for (v, idle) in &net.vm_idle {
+                    // SeqCst: matches the store in the VM loop.
+                    if !idle.load(Ordering::SeqCst) {
+                        net.flight.up();
+                        let _ = net.vm_txs[v].send(VmMsg::Flush);
+                    }
+                }
+                for tx in &net.mp_txs {
+                    net.flight.up();
+                    let _ = tx.send(MpMsg::Flush);
+                }
+            }
+            if Instant::now() > deadline {
+                return Err(net.drain_timeout());
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+}
+
+/// View-manager thread: recv → join the hb stamp → `VmPart::deliver` →
+/// stamp, count and send what the manager emitted.
+fn vm_thread(
+    id: ViewId,
+    mut part: VmPart,
+    rx: &Receiver<VmMsg>,
+    group: usize,
+    shard: &Shard,
+) -> Result<Yield, String> {
+    let net = &shard.net;
+    let mut obs = PipelineObs::new("ns");
+    let mut hbc = HbClock::new(10 + id.0);
+    let mut sink = &shard.wal;
+    while let Ok(msg) = rx.recv() {
+        // One wakeup may carry a whole batch of updates; events are
+        // handled in arrival order either way.
+        let events = match msg {
+            VmMsg::Updates(batch, stamp) => {
+                net.audit.recv(&mut hbc, &stamp);
+                let arrived = batch.into_iter().map(|(u, sent)| {
+                    obs.int_routing.record(sent.elapsed().as_nanos() as u64);
+                    VmEvent::Update(u)
+                });
+                arrived.collect()
+            }
+            VmMsg::Answer(token, answer, stamp) => {
+                net.audit.recv(&mut hbc, &stamp);
+                vec![VmEvent::Answer { token, answer }]
+            }
+            VmMsg::Flush => vec![VmEvent::Flush],
+            VmMsg::Stop => break,
+        };
+        for event in events {
+            let t0 = Instant::now();
+            let outs = part.deliver(event, &mut sink).map_err(|e| e.to_string())?;
+            obs.vm_compute.record(t0.elapsed().as_nanos() as u64);
+            for o in outs {
+                let stamp = net.audit.stamp(&mut hbc);
+                match o {
+                    VmOutput::Action(al) => {
+                        let msg = MpMsg::Action(al, stamp);
+                        net.send(&net.mp_txs[group], msg, "vm_to_mp", &mut obs);
+                    }
+                    VmOutput::Query { token, request } => {
+                        let msg = QsMsg::Query(id, token, Box::new(request), stamp);
+                        net.send(&net.qs_tx, msg, "vm_to_qs", &mut obs);
+                    }
+                }
+            }
+        }
+        // SeqCst: the idle flag must not be observed set before the
+        // sends above are visible — quiescence reads it unlocked.
+        net.vm_idle[&id].store(part.vm.is_idle(), Ordering::SeqCst);
+        net.flight.down();
+    }
+    Ok(Yield::of(obs))
+}
+
+/// Merge-process thread: recv → join the hb stamp → the `MergePart`
+/// transition(s) of the message → audit the paints, then stamp, count
+/// and send the releases to this group's committer.
+fn mp_thread(
+    mut part: MergePart,
+    rx: &Receiver<MpMsg>,
+    shard: &Shard,
+    epoch: Instant,
+) -> Result<Yield, String> {
+    let (g, net) = (part.group(), &shard.net);
+    let mut obs = PipelineObs::new("ns");
+    let mut hbc = HbClock::new(1000 + g as u32);
+    let mut sink = &shard.wal;
+    // AL arrival times, keyed like the simulator's merge-hold map:
+    // (view, last covered update) identifies the list inside a WT.
+    let mut al_recv: BTreeMap<(ViewId, UpdateId), Instant> = BTreeMap::new();
+    while let Ok(msg) = rx.recv() {
+        // Span stretches over every wakeup (including the drain's Flush
+        // rounds), so concurrently-live groups overlap.
+        obs.note_group_span(g, epoch.elapsed().as_nanos() as u64);
+        let mut out = MergeOutput::default();
+        match msg {
+            MpMsg::Rels(rels, stamp) => {
+                net.audit.recv(&mut hbc, &stamp);
+                for (i, rel, sent) in rels {
+                    obs.int_routing.record(sent.elapsed().as_nanos() as u64);
+                    out.absorb(part.on_rel(i, rel, &mut sink).map_err(|e| e.to_string())?);
+                }
+            }
+            MpMsg::Action(al, stamp) => {
+                net.audit.recv(&mut hbc, &stamp);
+                al_recv.insert((al.view, al.last), Instant::now());
+                out = part.on_action(al, &mut sink).map_err(|e| e.to_string())?;
+            }
+            MpMsg::Committed(seq, stamp) => {
+                net.audit.recv(&mut hbc, &stamp);
+                out = part
+                    .on_committed(seq, &mut sink)
+                    .map_err(|e| e.to_string())?;
+            }
+            MpMsg::Checkpoint(reply) => {
+                let _ = reply.send(part.snapshot(&sink));
+            }
+            MpMsg::Flush => out = part.flush(&mut sink).map_err(|e| e.to_string())?,
+            MpMsg::Stop => break,
+        }
+        // Paint transitions are checked against this thread's clock,
+        // which already joined the stamp of the message that caused them.
+        net.audit.on_paints(g, &out.paints, &hbc);
+        for t in out.released {
+            for a in &t.actions {
+                if let Some(arrived) = al_recv.remove(&(a.view, a.last)) {
+                    obs.merge_hold.record(arrived.elapsed().as_nanos() as u64);
+                }
+            }
+            let msg = WhMsg::Txn((g, t, Instant::now(), net.audit.stamp(&mut hbc)));
+            net.send(&net.wh_txs[shard.index], msg, "mp_to_wh", &mut obs);
+        }
+        obs.vut_occupancy.record(part.mp.live_rows() as u64);
+        // SeqCst: pairs with the quiescence check — the flag must not
+        // appear set before the releases above are visible.
+        net.mp_quiescent[g].store(part.mp.is_quiescent(), Ordering::SeqCst);
+        net.flight.down();
+    }
+    Ok(Yield {
+        merge_stats: vec![part.mp.stats()],
+        commit_stats: vec![part.mp.commit_stats()],
+        ..Yield::of(obs)
+    })
+}
+
+/// Integrator thread: recv → join the hb stamps → `Integrator::route`
+/// per update → seal one message per touched merge group and per
+/// relevant view, however many updates the wakeup carried.
+fn int_thread(
+    mut part: Integrator,
+    rx: &Receiver<IntMsg>,
+    net: &Net,
+    wals: &WalStreams,
+) -> Result<Yield, String> {
+    let mut obs = PipelineObs::new("ns");
+    let mut hbc = HbClock::new(1);
+    let mut sink = wals;
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            IntMsg::Updates(batch) => {
+                let n = batch.len() as i64;
+                let mut mp_out: Vec<Vec<(UpdateId, BTreeSet<ViewId>, Instant)>> =
+                    vec![Vec::new(); net.mp_txs.len()];
+                let mut vm_out: BTreeMap<ViewId, Vec<(NumberedUpdate, Instant)>> = BTreeMap::new();
+                for (u, sent, stamp) in batch {
+                    net.audit.recv(&mut hbc, &stamp);
+                    obs.src_to_int_wait.record(sent.elapsed().as_nanos() as u64);
+                    for r in part.route(u, &mut sink).map_err(|e| e.to_string())? {
+                        for v in &r.rel {
+                            // seal: fanning the routed update out into
+                            // each relevant view's batch clones the Arc
+                            // handle, not the payload
+                            let item = (r.numbered.clone(), Instant::now());
+                            vm_out.entry(*v).or_default().push(item);
+                        }
+                        mp_out[r.group].push((r.numbered.id, r.rel, Instant::now()));
+                    }
+                }
+                // REL batches go out before any update batch: a VM can
+                // only produce an action for an update after its merge
+                // group already holds the REL entry, exactly as with
+                // per-update sends.
+                for (g, rels) in mp_out.into_iter().enumerate() {
+                    if !rels.is_empty() {
+                        let msg = MpMsg::Rels(rels, net.audit.stamp(&mut hbc));
+                        net.send(&net.mp_txs[g], msg, "int_to_mp", &mut obs);
+                    }
+                }
+                for (v, ups) in vm_out {
+                    let msg = VmMsg::Updates(ups, net.audit.stamp(&mut hbc));
+                    net.send(&net.vm_txs[&v], msg, "int_to_vm", &mut obs);
+                }
+                net.flight.down_n(n);
+            }
+            IntMsg::AnswerFor(v, token, answer, stamp) => {
+                // Forwarded on the *same* FIFO as this view's updates so
+                // that the end-to-end order is preserved.
+                net.audit.recv(&mut hbc, &stamp);
+                net.flight.up();
+                let _ =
+                    net.vm_txs[&v].send(VmMsg::Answer(token, answer, net.audit.stamp(&mut hbc)));
+                net.flight.down();
+            }
+            IntMsg::Checkpoint(reply) => {
+                let _ = reply.send(part.snapshot(&sink));
+                net.flight.down();
+            }
+            IntMsg::Stop => break,
+        }
+    }
+    Ok(Yield {
+        integrator: Some(Box::new(part)),
+        ..Yield::of(obs)
+    })
+}
+
+/// Query-server thread. Queries are served concurrently (real sources
+/// answer many clients at once): with a configured delay, each query
+/// gets its own short-lived worker so service time does not serialize
+/// the whole pipeline.
+fn qs_thread(
+    rx: &Receiver<QsMsg>,
+    cluster: &Arc<AuditedMutex<SourceCluster>>,
+    batcher: &Arc<SrcBatcher>,
+    net: &Arc<Net>,
+    delay: Duration,
+) -> Result<Yield, String> {
+    let mut workers = Vec::new();
+    while let Ok(QsMsg::Query(v, token, request, stamp)) = rx.recv() {
+        let (cluster, batcher, net) = (cluster.clone(), batcher.clone(), net.clone());
+        let serve = move || -> Result<(), String> {
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            // Lock serializes with commits: the answer state is
+            // consistent with the updates already reported.
+            let answer = {
+                let c = cluster.lock();
+                answer_query(&c, &request).map_err(|e| e.to_string())?
+            };
+            // Seal any buffered updates before reporting the answer:
+            // every update ≤ the answer state was pushed under the
+            // cluster lock before the answer was computed, so flushing
+            // here puts them ahead of the AnswerFor in the FIFO
+            // integrator queue — the ordering invariant batching must
+            // not break.
+            batcher.flush();
+            net.flight.up();
+            // The query's own stamp rides through: the answer
+            // happens-after the question, and the concurrent workers own
+            // no clock.
+            let _ = net.int_tx.send(IntMsg::AnswerFor(v, token, answer, stamp));
+            net.flight.down();
+            Ok(())
+        };
+        if delay.is_zero() {
+            serve()?;
+        } else {
+            workers.push(std::thread::spawn(serve));
+        }
+    }
+    for w in workers {
+        w.join()
+            .map_err(|_| "query worker panicked".to_string())??;
+    }
+    Ok(Yield::default())
+}
+
+/// A commit acknowledgement owed to a merge group, stamped by the audit.
+type Ack = (usize, TxnSeq, Stamp);
+
+impl Shard {
+    /// The commit critical section, for a run of released transactions
+    /// under ONE store-lock acquisition: `transitions::commit` (WAL
+    /// `TxnCommitted` order = history order), then per transaction the
+    /// hb commit check and the cut publication — both under the lock, so
+    /// the audit sees commits, and readers see watermarks, in history
+    /// order. Returns the acks in that order.
+    fn commit_run(&self, run: &[Release], obs: &mut PipelineObs) -> Result<Vec<Ack>, String> {
+        let mut acks = Vec::with_capacity(run.len());
+        {
+            let mut store = self.store.lock();
+            let st = &mut *store;
+            let base = st.warehouse.commit_count();
+            if let Some(plane) = &self.plane {
+                for _ in run {
+                    // SeqCst: the global ticket is drawn under the shard
+                    // lock in apply order; the merge validates per-shard
+                    // monotonicity, so the draw must not reorder around
+                    // the applies it linearizes.
+                    st.tickets
+                        .push(plane.tickets.fetch_add(1, Ordering::SeqCst));
+                }
+            }
+            let txns = run.iter().map(|(g, txn, _, _)| (*g, txn));
+            commit(&mut st.warehouse, &mut st.commit_log, txns, &mut &self.wal)
+                .map_err(|e| e.to_string())?;
+            for (i, (g, txn, released, stamp)) in run.iter().enumerate() {
+                // WT released by the merge process -> applied at the
+                // warehouse (same span the simulator measures in steps).
+                obs.commit_apply
+                    .record(released.elapsed().as_nanos() as u64);
+                // The returned clock stamps the ack. (Groups are global,
+                // so the commit-order audit runs sharded too.)
+                let ack = self.net.audit.on_commit(*g, txn.seq, &txn.views, stamp);
+                self.publish(&st.warehouse, base + i as u64 + 1, txn, &ack);
+                acks.push((*g, txn.seq, ack));
+            }
+        }
+        // Group commit: every TxnCommitted appended above is durable
+        // before any ack leaves this committer. The leader holds the
+        // flush window open so records from concurrently-arriving runs
+        // (other delay workers of this stream) share one fsync.
+        if let Some((window, ticket)) = &self.flush {
+            let _ = ticket.wait_flush(*window, || self.wal.flush());
+        }
+        Ok(acks)
+    }
+
+    /// Publish a commit's new view versions at its (shard-local)
+    /// watermark. Unsharded the cut is stamped with the ack clock: every
+    /// certified read of it happens-after the commit that produced it,
+    /// and any GC the publish triggered must happen-after every read of
+    /// the pruned versions. Sharded runs skip those read-path audit legs
+    /// (see `ThreadedConfig::shards`) and bump the watermark register
+    /// last: any register value a reader snapshots is already resolvable
+    /// in this shard's cut stack.
+    fn publish(&self, warehouse: &Warehouse, watermark: u64, txn: &StoreTxn, ack: &Stamp) {
+        let changed: Vec<ViewId> = txn.views.iter().copied().collect();
+        let versions = warehouse.read(&changed);
+        match &self.plane {
+            Some(plane) => {
+                self.cuts.publish(watermark, versions);
+                plane.watermarks.publish(self.index, watermark);
+            }
+            None => {
+                let audit = &self.net.audit;
+                let stamp = audit.on_publish(watermark, ack);
+                let receipt = self.cuts.publish_stamped(watermark, versions, stamp);
+                audit.on_gc(&receipt.gc, ack);
+            }
+        }
+    }
+
+    /// Ship the acks. Each is counted in flight before the `Txn` message
+    /// it answers is counted out, so the counter never dips to zero in
+    /// between.
+    fn ack(&self, acks: Vec<Ack>, obs: &mut PipelineObs) {
+        let net = &self.net;
+        for (g, seq, stamp) in acks {
+            let msg = MpMsg::Committed(seq, stamp);
+            net.send(&net.mp_txs[g], msg, "wh_to_mp", obs);
+            net.flight.down();
+        }
+    }
+}
+
+/// Threaded checkpointing: every `every` commits the (single,
+/// zero-delay) committer asks every merge process, then the integrator,
+/// for their half of a checkpoint through their own FIFOs — so each half
+/// is taken, and anchored in the WAL, at a well-defined point of its
+/// component's input — and appends the assembled record.
+struct CheckpointRound {
+    every: u64,
+    /// Commits applied since the last round.
+    since: u64,
+}
+
+impl CheckpointRound {
+    /// Called between a run's commit and its acks: the consumed `Txn`
+    /// messages keep `flight` nonzero for the whole round, so the driver
+    /// cannot observe quiescence and Stop the processes mid-round.
+    fn after_commits(&mut self, n: u64, c: &Shard) -> Result<(), String> {
+        self.since += n;
+        if self.since < self.every {
+            return Ok(());
+        }
+        self.since = 0;
+        let net = &c.net;
+        let mut waiting = Vec::with_capacity(net.mp_txs.len());
+        for tx in &net.mp_txs {
+            let (reply, part) = unbounded();
+            net.flight.up();
+            let _ = tx.send(MpMsg::Checkpoint(reply));
+            waiting.push(part);
+        }
+        let mut merges = Vec::with_capacity(waiting.len());
+        for part in waiting {
+            let part = part.recv();
+            merges.push(part.map_err(|_| "merge process exited mid-checkpoint".to_string())?);
+        }
+        let (reply, routing) = unbounded();
+        net.flight.up();
+        let _ = net.int_tx.send(IntMsg::Checkpoint(reply));
+        let routing = routing.recv();
+        let routing = routing.map_err(|_| "integrator exited mid-checkpoint".to_string())?;
+        // This thread is the only committer, so the commit log has not
+        // moved since the snapshots above.
+        let record = {
+            let store = c.store.lock();
+            checkpoint_record(routing, merges, &store.warehouse, &store.commit_log)
+        };
+        // The append also compacts dead segments when the log is rotated
+        // with compaction enabled.
+        let _ = (&c.wal).append(&record);
+        Ok(())
+    }
+}
+
+/// Committer thread. Zero commit latency: drain whatever releases are
+/// already queued behind the first and commit the whole run at once
+/// (group commit — only the locking is amortized; log, history and ack
+/// order match the per-transaction path). With a configured latency,
+/// each commit is a run of one on its own short-lived worker (a real
+/// DBMS overlaps independent transactions); ordering of *dependent*
+/// transactions is the merge process's commit scheduler's responsibility
+/// (§4.3) — it never has two dependent transactions in flight under the
+/// ordered policies, so concurrent workers are safe.
+fn committer_thread(
+    c: &Arc<Shard>,
+    rx: &Receiver<WhMsg>,
+    delay: Duration,
+    mut round: Option<CheckpointRound>,
+) -> Result<Yield, String> {
+    let mut obs = PipelineObs::new("ns");
+    let mut workers = Vec::new();
+    let mut stopped = false;
+    while !stopped {
+        let Ok(WhMsg::Txn(first)) = rx.recv() else {
+            break;
+        };
+        if !delay.is_zero() {
+            let c = c.clone();
+            workers.push(std::thread::spawn(move || {
+                let mut obs = PipelineObs::new("ns");
+                std::thread::sleep(delay);
+                let acks = c.commit_run(&[first], &mut obs)?;
+                c.ack(acks, &mut obs);
+                Ok::<_, String>(obs)
+            }));
+            continue;
+        }
+        let mut run = vec![first];
+        while let Ok(next) = rx.try_recv() {
+            match next {
+                WhMsg::Txn(t) => run.push(t),
+                WhMsg::Stop => {
+                    stopped = true;
+                    break;
+                }
+            }
+        }
+        let acks = c.commit_run(&run, &mut obs)?;
+        if let Some(round) = &mut round {
+            round.after_commits(run.len() as u64, c)?;
+        }
+        c.ack(acks, &mut obs);
+    }
+    for w in workers {
+        let worker_obs = w
+            .join()
+            .map_err(|_| "commit worker panicked".to_string())??;
+        obs.merge(&worker_obs);
+    }
+    Ok(Yield::of(obs))
+}
+
+/// §1.1 customer inquiry: sample `views` under the store locks while
+/// commits flow. One shard lock at a time, never nested: shards own
+/// disjoint view sets, so each sub-read is a consistent cut of its shard
+/// and the union is well defined. Unsharded the single store owns every
+/// view — the classic one-lock sample.
+fn inquiry_reader(
+    shards: &[Arc<Shard>],
+    views: &[ViewId],
+    interval: Duration,
+    stop: &AtomicBool,
+) -> Yield {
+    let mut samples = Vec::new();
+    // SeqCst: plain stop flag; strongest order costs nothing here.
+    while !stop.load(Ordering::SeqCst) {
+        let mut sample = BTreeMap::new();
+        for shard in shards {
+            let wanted: Vec<ViewId> = views
+                .iter()
+                .copied()
+                .filter(|v| shard.views.contains(v))
+                .collect();
+            if !wanted.is_empty() {
+                sample.extend(shard.store.lock().warehouse.read(&wanted));
+            }
+        }
+        samples.push(sample);
+        std::thread::sleep(interval);
+    }
+    Yield {
+        reader_samples: samples,
+        ..Yield::default()
+    }
+}
+
+/// What every MVCC reader thread of the closed-loop fleet shares: its
+/// index, think time, stop flag and (first reader only) injected fault.
+struct ReaderPace {
+    k: usize,
+    think: Duration,
+    stop: Arc<AtomicBool>,
+    fault: Option<ThreadFault>,
+}
+
+impl ReaderPace {
+    fn running(&self) -> bool {
+        // SeqCst: plain stop flag; strongest order costs nothing here.
+        !self.stop.load(Ordering::SeqCst)
+    }
+
+    /// End of one iteration: fire the injected fault when due, then
+    /// think.
+    fn after_read(&self, reads_done: u64) {
+        if let Some(ThreadFault::ReaderPanic { after_reads }) = self.fault {
+            if reads_done >= after_reads {
+                panic!("injected reader fault after {reads_done} reads");
+            }
+        }
+        if !self.think.is_zero() {
+            std::thread::sleep(self.think);
+        }
+    }
+}
+
+/// Unsharded MVCC reader: hammers multi-view snapshot reads through the
+/// version store — never taking the store lock, so readers and commits
+/// only contend on the (short) version-store mutex. Each iteration
+/// alternates reading the newest cut with a re-read at the session's own
+/// watermark (exercising the monotonic-session path). Observations are
+/// retained and certified after the run.
+fn mvcc_reader(
+    pace: &ReaderPace,
+    mut session: ReadSession,
+    views: &[ViewId],
+    audit: &HbAudit,
+) -> Yield {
+    let mut obs = PipelineObs::new("ns");
+    let mut hbc = HbClock::new(2000 + pace.k as u32);
+    let mut observations = Vec::new();
+    let mut at_head = true;
+    while pace.running() {
+        let begun = Instant::now();
+        // The pre-read clock snapshot pins the session in the version
+        // store: any GC while this pin is live is licensed by (joins)
+        // it, proving the reclamation happens-after everything this
+        // reader has seen.
+        let pin = audit.reader_stamp(&mut hbc);
+        let result = if at_head {
+            session.read_latest_stamped(views, pin)
+        } else {
+            session.read_at_stamped(session.last_seen(), views, pin)
+        };
+        at_head = !at_head;
+        let out = result.expect("chains seeded at build, target ≤ head");
+        // Certified read: must happen-after the commit that published
+        // its watermark. The returned post-join clock licenses any GC
+        // this read's pin advance triggered.
+        let seen = &out.observation;
+        let post = audit.on_read(
+            seen.session,
+            seen.cut.watermark,
+            &out.publish_stamp,
+            &mut hbc,
+        );
+        audit.on_gc(&out.gc, &post);
+        obs.read_latency.record(begun.elapsed().as_nanos() as u64);
+        obs.note_read(out.staleness, out.chain_len, out.gc_lag);
+        observations.push(out.observation);
+        pace.after_read(observations.len() as u64);
+    }
+    Yield {
+        read_observations: observations,
+        ..Yield::of(obs)
+    }
+}
+
+/// Sharded MVCC reader: one session per shard plus the
+/// watermark-register protocol. Snapshot every shard's register FIRST,
+/// then read each shard at its entry. Registers are monotone (fetch_max)
+/// and writers publish only after the cut exists under the shard lock,
+/// so every target is published and ≥ this reader's previous target —
+/// the combined cut is a certifiable cross-shard snapshot and per-reader
+/// frontiers are pointwise monotone. The read-path hb audit is skipped
+/// here (see `ThreadedConfig::shards`); certification comes from
+/// `Oracle::check_sharded` + remapped `check_reads`.
+fn frontier_reader(
+    pace: &ReaderPace,
+    mut sessions: Vec<(ReadSession, Vec<ViewId>)>,
+    watermarks: &ShardWatermarks,
+) -> Yield {
+    let mut obs = PipelineObs::new("ns");
+    let mut shard_observations = vec![Vec::new(); sessions.len()];
+    let mut frontiers = Vec::new();
+    while pace.running() {
+        let begun = Instant::now();
+        let frontier = watermarks.snapshot();
+        frontiers.push(ReadFrontier {
+            reader: pace.k,
+            seq: frontiers.len() as u64,
+            watermarks: frontier.clone(),
+        });
+        for (s, (session, views)) in sessions.iter_mut().enumerate() {
+            let out = session
+                .read_at(frontier[s], views)
+                .expect("frontier ≤ shard head by publication order");
+            obs.note_read(out.staleness, out.chain_len, out.gc_lag);
+            shard_observations[s].push(out.observation);
+        }
+        obs.read_latency.record(begun.elapsed().as_nanos() as u64);
+        pace.after_read(frontiers.len() as u64);
+    }
+    Yield {
+        shard_observations,
+        frontiers,
+        ..Yield::of(obs)
+    }
+}
+
+/// Queue-depth sampler. Senders gauge a channel only at send time, so
+/// between bursts the recorded depths never decay; this thread samples
+/// every channel on a fixed interval so the gauges also see idle-time
+/// drain-down.
+fn depth_sampler(net: &Net, interval: Duration, stop: &AtomicBool) -> Yield {
+    let mut obs = PipelineObs::new("ns");
+    // SeqCst: plain stop flag; strongest order costs nothing here.
+    while !stop.load(Ordering::SeqCst) {
+        obs.note_depth("src_to_int", net.int_tx.len() as u64);
+        obs.note_depth("vm_to_qs", net.qs_tx.len() as u64);
+        for tx in &net.wh_txs {
+            obs.note_depth("mp_to_wh", tx.len() as u64);
+        }
+        for tx in net.vm_txs.values() {
+            obs.note_depth("int_to_vm", tx.len() as u64);
+        }
+        for tx in &net.mp_txs {
+            obs.note_depth("int_to_mp", tx.len() as u64);
+        }
+        std::thread::sleep(interval);
+    }
+    Yield::of(obs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use crate::workload::{generate, install_relations, install_views, WorkloadSpec};
+    use crate::workload::{generate, install_relations, install_views, ViewSuite, WorkloadSpec};
     use mvc_relational::tuple;
     use mvc_source::WriteOp;
+
+    /// Deploy `suite` under `kind` and run `spec`'s workload through it.
+    fn run_suite(
+        config: ThreadedConfig,
+        spec: &WorkloadSpec,
+        suite: ViewSuite,
+        kind: ManagerKind,
+    ) -> Result<(SimReport, WallClock, Vec<ViewId>), SimError> {
+        let w = generate(spec);
+        let b = install_relations(ThreadedBuilder::new(config), spec.relations);
+        let (b, ids) = install_views(b, suite, kind);
+        b.workload(w.txns).run().map(|(r, wall)| (r, wall, ids))
+    }
 
     #[test]
     fn threaded_end_to_end_complete_managers() {
@@ -2416,15 +2281,13 @@ mod tests {
                 record_snapshots: true,
                 ..ThreadedConfig::default()
             };
-            let w = generate(&spec);
-            let b = ThreadedBuilder::new(config);
-            let b = install_relations(b, spec.relations);
-            let (b, ids) = install_views(
-                b,
-                crate::workload::ViewSuite::DisjointCopies { count: 3 },
+            let (report, _wall, ids) = run_suite(
+                config,
+                &spec,
+                ViewSuite::DisjointCopies { count: 3 },
                 ManagerKind::Complete,
-            );
-            let (report, _wall) = b.workload(w.txns).run().unwrap();
+            )
+            .unwrap();
             Oracle::new(&report).unwrap().assert_ok();
             let contents = report.warehouse.read(&ids);
             (report.partitioning.group_count(), contents)
@@ -2456,15 +2319,13 @@ mod tests {
             delete_percent: 20,
             ..WorkloadSpec::default()
         };
-        let w = generate(&spec);
-        let b = ThreadedBuilder::new(config);
-        let b = install_relations(b, spec.relations);
-        let (b, _ids) = install_views(
-            b,
-            crate::workload::ViewSuite::OverlappingChain { count: 3 },
+        let (report, _wall, _ids) = run_suite(
+            config,
+            &spec,
+            ViewSuite::OverlappingChain { count: 3 },
             ManagerKind::Complete,
-        );
-        let (report, _wall) = b.workload(w.txns).run().unwrap();
+        )
+        .unwrap();
         assert!(
             !report.read_observations.is_empty(),
             "reader fleet never ran"
@@ -2511,15 +2372,13 @@ mod tests {
                 reader_think_time: Duration::from_micros(20),
                 ..ThreadedConfig::default()
             };
-            let w = generate(&spec);
-            let b = ThreadedBuilder::new(config);
-            let b = install_relations(b, spec.relations);
-            let (b, ids) = install_views(
-                b,
-                crate::workload::ViewSuite::DisjointCopies { count: 4 },
+            let (report, _wall, ids) = run_suite(
+                config,
+                &spec,
+                ViewSuite::DisjointCopies { count: 4 },
                 ManagerKind::Complete,
-            );
-            let (report, _wall) = b.workload(w.txns).run().unwrap();
+            )
+            .unwrap();
             let contents = report.warehouse.read(&ids);
             (report, contents)
         };
@@ -2573,15 +2432,13 @@ mod tests {
             shards: 2,
             ..ThreadedConfig::default()
         };
-        let w = generate(&spec);
-        let b = ThreadedBuilder::new(config);
-        let b = install_relations(b, spec.relations);
-        let (b, _ids) = install_views(
-            b,
-            crate::workload::ViewSuite::DisjointCopies { count: 4 },
+        let (report, _wall, _ids) = run_suite(
+            config,
+            &spec,
+            ViewSuite::DisjointCopies { count: 4 },
             ManagerKind::Complete,
-        );
-        let (report, _wall) = b.workload(w.txns).run().unwrap();
+        )
+        .unwrap();
         assert!(
             report.partitioning.group_count() <= 2,
             "groups cap must coarsen: got {}",
@@ -2603,15 +2460,13 @@ mod tests {
             updates: 40,
             ..WorkloadSpec::default()
         };
-        let w = generate(&spec);
-        let b = ThreadedBuilder::new(config);
-        let b = install_relations(b, spec.relations);
-        let (b, _ids) = install_views(
-            b,
-            crate::workload::ViewSuite::OverlappingChain { count: 2 },
+        let (report, _wall, _ids) = run_suite(
+            config,
+            &spec,
+            ViewSuite::OverlappingChain { count: 2 },
             ManagerKind::Strobe,
-        );
-        let (report, _wall) = b.workload(w.txns).run().unwrap();
+        )
+        .unwrap();
         Oracle::new(&report).unwrap().assert_ok();
     }
 
@@ -2676,15 +2531,12 @@ mod tests {
             updates: 20,
             ..WorkloadSpec::default()
         };
-        let w = generate(&spec);
-        let b = ThreadedBuilder::new(config);
-        let b = install_relations(b, spec.relations);
-        let (b, _ids) = install_views(
-            b,
-            crate::workload::ViewSuite::OverlappingChain { count: 2 },
+        let err = match run_suite(
+            config,
+            &spec,
+            ViewSuite::OverlappingChain { count: 2 },
             ManagerKind::Complete,
-        );
-        let err = match b.workload(w.txns).run() {
+        ) {
             Ok(_) => panic!("run must fail when a reader panics"),
             Err(e) => e,
         };
@@ -2719,15 +2571,13 @@ mod tests {
             delete_percent: 20,
             ..WorkloadSpec::default()
         };
-        let w = generate(&spec);
-        let b = ThreadedBuilder::new(config);
-        let b = install_relations(b, spec.relations);
-        let (b, _ids) = install_views(
-            b,
-            crate::workload::ViewSuite::OverlappingChain { count: 3 },
+        let (report, wall, _ids) = run_suite(
+            config,
+            &spec,
+            ViewSuite::OverlappingChain { count: 3 },
             ManagerKind::Complete,
-        );
-        let (report, wall) = b.workload(w.txns).run().unwrap();
+        )
+        .unwrap();
         Oracle::new(&report).unwrap().assert_ok();
         assert!(
             wall.lock_cycles.is_empty(),
@@ -2768,15 +2618,13 @@ mod tests {
             delete_percent: 10,
             ..WorkloadSpec::default()
         };
-        let w = generate(&spec);
-        let b = ThreadedBuilder::new(config);
-        let b = install_relations(b, spec.relations);
-        let (b, _ids) = install_views(
-            b,
-            crate::workload::ViewSuite::OverlappingChain { count: 3 },
+        let (report, wall, _ids) = run_suite(
+            config,
+            &spec,
+            ViewSuite::OverlappingChain { count: 3 },
             ManagerKind::Complete,
-        );
-        let (report, wall) = b.workload(w.txns).run().unwrap();
+        )
+        .unwrap();
         let oracle = Oracle::new(&report).unwrap();
         oracle.assert_ok();
         assert!(
@@ -2824,15 +2672,8 @@ mod tests {
                     batch_max,
                     ..ThreadedConfig::default()
                 };
-                let w = generate(&spec);
-                let b = ThreadedBuilder::new(config);
-                let b = install_relations(b, spec.relations);
-                let (b, ids) = install_views(
-                    b,
-                    crate::workload::ViewSuite::OverlappingChain { count: 2 },
-                    ManagerKind::Complete,
-                );
-                let (report, _wall) = b.workload(w.txns).run().unwrap();
+                let (report, _wall, ids) =
+                    run_suite(config, &spec, ViewSuite::OverlappingChain { count: 2 }, ManagerKind::Complete).unwrap();
                 Oracle::new(&report).unwrap().assert_ok();
                 let mut per_view: BTreeMap<ViewId, Vec<(UpdateId, u64)>> = BTreeMap::new();
                 for t in report.warehouse.history() {
@@ -2852,6 +2693,47 @@ mod tests {
             proptest::prop_assert_eq!(unbatched_commits, batched_commits);
             proptest::prop_assert_eq!(unbatched_views, batched_views);
         }
+    }
+
+    /// Every combination this runtime refuses is refused with the typed
+    /// `Unsupported` error, naming both settings, before a thread is
+    /// spawned or a log file created. A checkpoint round assumes the
+    /// single zero-delay committer; these used to run with the cadence
+    /// silently zeroed.
+    #[test]
+    fn threaded_refuses_unsupported_combinations() {
+        let dir = std::env::temp_dir().join(format!("mvc-thr-refusals-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = WorkloadSpec {
+            relations: 2,
+            updates: 4,
+            ..WorkloadSpec::default()
+        };
+        // (shards, commit_delay, the setting the message must name)
+        let cases = [
+            (2, Duration::ZERO, "shards = 2"),
+            (1, Duration::from_micros(50), "commit_delay = 50"),
+        ];
+        for (shards, commit_delay, clash) in cases {
+            let config = ThreadedConfig {
+                partition: true,
+                shards,
+                commit_delay,
+                durability: Some(DurabilityConfig::new(dir.join("w.wal")).with_checkpoint_every(4)),
+                ..ThreadedConfig::default()
+            };
+            let suite = ViewSuite::DisjointCopies { count: 2 };
+            match run_suite(config, &spec, suite, ManagerKind::Complete) {
+                Err(SimError::Unsupported(why)) => assert!(
+                    why.contains("checkpoint_every = 4") && why.contains(clash),
+                    "refusal must name both settings: {why}"
+                ),
+                other => panic!("{clash}: expected Unsupported, got {:?}", other.map(|_| ())),
+            }
+            let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert!(left.is_empty(), "{clash}: refused after opening {left:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

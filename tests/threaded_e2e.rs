@@ -202,3 +202,96 @@ fn concurrent_reader_never_sees_torn_transfers() {
         );
     }
 }
+
+/// One commit section, one set of transitions, sixteen hosts' worth of
+/// configuration: shards × commit latency × MVCC readers × WAL (group
+/// commit on; checkpoint rounds on wherever the runtime accepts them).
+/// Every cell must certify — per-group MVC, every observed cut, and the
+/// ticket linearization when sharded — and every unsharded log must
+/// crash-recover to the run's own final state.
+#[test]
+fn threaded_configuration_cross_product_certifies() {
+    let dir = std::env::temp_dir().join(format!("mvc-thr-matrix-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = WorkloadSpec {
+        seed: 51,
+        relations: 4,
+        updates: 40,
+        key_domain: 5,
+        delete_percent: 25,
+        multi_percent: 0,
+    };
+    let mut cells = Vec::new();
+    for shards in [1, 2] {
+        for commit_delay in [Duration::ZERO, Duration::from_micros(50)] {
+            for readers in [0, 2] {
+                cells.extend([false, true].map(|wal| (shards, commit_delay, readers, wal)));
+            }
+        }
+    }
+    for (n, (shards, commit_delay, readers, wal)) in cells.into_iter().enumerate() {
+        let cell = format!("shards={shards} delay={commit_delay:?} readers={readers} wal={wal}");
+        let path = dir.join(format!("cell{n}.wal"));
+        let checkpoints = if shards == 1 && commit_delay.is_zero() {
+            5
+        } else {
+            0
+        };
+        let config = ThreadedConfig {
+            partition: true,
+            shards,
+            commit_delay,
+            readers,
+            reader_think_time: Duration::from_micros(20),
+            record_snapshots: true,
+            durability: wal.then(|| {
+                DurabilityConfig::new(&path)
+                    .with_fsync_every(64)
+                    .with_fsync_deadline(Duration::from_micros(200))
+                    .with_checkpoint_every(checkpoints)
+            }),
+            ..ThreadedConfig::default()
+        };
+        let w = generate(&spec);
+        let b = install_relations(ThreadedBuilder::new(config), spec.relations);
+        let (b, ids) = install_views(
+            b,
+            ViewSuite::DisjointCopies { count: 4 },
+            ManagerKind::Complete,
+        );
+        let registry = b.registry().clone();
+        let (report, wall) = b
+            .workload(w.txns)
+            .run()
+            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+        assert_eq!(wall.in_flight_at_end, 0, "{cell}");
+        let oracle = Oracle::new(&report).unwrap();
+        oracle.assert_ok();
+        let cert = oracle
+            .check_reads()
+            .unwrap_or_else(|e| panic!("{cell}: {e:?}"));
+        assert_eq!(cert.observations, report.read_observations.len(), "{cell}");
+        assert_eq!(report.shard_plane.is_some(), shards == 2, "{cell}");
+        if shards == 2 {
+            oracle
+                .check_sharded()
+                .unwrap_or_else(|e| panic!("{cell}: {e:?}"));
+        } else if wal {
+            let r_config = SimConfig {
+                partition: true,
+                record_snapshots: true,
+                durability: Some(DurabilityConfig::new(&path)),
+                ..SimConfig::default()
+            };
+            let stitched = recover_and_run(r_config, report.cluster.clone(), &registry, Vec::new())
+                .unwrap_or_else(|e| panic!("{cell}: recovery failed: {e}"));
+            Oracle::new(&stitched).unwrap().assert_ok();
+            assert_eq!(
+                stitched.warehouse.read(&ids),
+                report.warehouse.read(&ids),
+                "{cell}: recovery converges to the run's final state"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
