@@ -83,6 +83,18 @@ else
   echo "== bench smoke skipped (BENCH_SMOKE=0) =="
 fi
 
+echo "== benchmark package (build vs the public API, lint, unit tests, oracle-certified check pass) =="
+# benchmark/ is a package of its own ([workspace] is empty), so nothing
+# above compiles it. `--check` stops before any timed run: build, fmt,
+# clippy -D warnings, unit tests, then all four BENCHMARK.json workloads
+# through both drivers under the full oracle (reader certification,
+# crash-recover stitching), about a minute. BENCH_SMOKE=0 skips.
+if [[ "${BENCH_SMOKE:-1}" == "1" ]]; then
+  benchmark/run.sh --check
+else
+  echo "== benchmark check skipped (BENCH_SMOKE=0) =="
+fi
+
 # Optional deep checks: opt in with MIRI=1 / TSAN=1. Both need extra
 # toolchain components, so they skip gracefully when unavailable.
 if [[ "${MIRI:-0}" == "1" ]]; then

@@ -190,8 +190,22 @@ impl Delta {
         ops
     }
 
+    /// Would [`Delta::apply_to`] succeed on a relation with this schema?
+    /// Only inserts can fail (deleting a tuple that cannot be there is a
+    /// no-op), so only they are checked. Lets a multi-relation writer
+    /// validate everything before its first mutation.
+    pub fn check_against(&self, schema: &Schema) -> Result<(), SchemaError> {
+        self.changes
+            .iter()
+            .filter(|(_, &n)| n > 0)
+            .try_for_each(|(t, _)| schema.check(t))
+    }
+
     /// Apply to a relation. Deletes are clamped at zero multiplicity
-    /// (monus), matching warehouse-side idempotent application.
+    /// (monus), matching warehouse-side idempotent application. Fails on
+    /// the first insert the relation's schema rejects, leaving the
+    /// deletes and earlier inserts applied — call
+    /// [`Delta::check_against`] first where that matters.
     pub fn apply_to(&self, rel: &mut Relation) -> Result<(), SchemaError> {
         for (t, n) in &self.changes {
             if *n < 0 {

@@ -54,7 +54,13 @@ pub struct CommittedTxn {
     /// Update frontier the transaction advanced those views to.
     pub frontier: UpdateId,
     /// Content fingerprint of *every* view after the commit (the warehouse
-    /// state vector of §2.3).
+    /// state vector of §2.3). Each entry is [`Relation::fingerprint`]: a
+    /// multiset hash the relation maintains incrementally, so recording
+    /// the vector reads one `u64` per view — O(#views) per commit,
+    /// whatever the views hold. 64-bit and non-adversarial: equal content
+    /// always gives equal entries, so a mismatch proves divergence; equal
+    /// entries are evidence of equal content, not proof (`snapshot`, when
+    /// recorded, holds the contents themselves).
     pub fingerprints: BTreeMap<ViewId, u64>,
     /// Full contents after the commit when snapshot recording is on.
     pub snapshot: Option<BTreeMap<ViewId, Relation>>,
@@ -183,17 +189,22 @@ impl Warehouse {
     /// Apply one warehouse transaction atomically: every action list in
     /// the transaction, in order, then record the new state vector.
     pub fn apply(&mut self, txn: &StoreTxn) -> Result<&CommittedTxn, WarehouseError> {
-        // Validate all views first — atomicity.
+        // Validate everything that can fail first — atomicity: every view
+        // exists and every inserted tuple fits its view's schema.
         for al in &txn.actions {
-            if !self.views.contains_key(&al.view) {
-                return Err(WarehouseError::UnknownView(al.view));
-            }
+            let slot = self
+                .views
+                .get(&al.view)
+                .ok_or(WarehouseError::UnknownView(al.view))?;
+            al.payload.check_against(slot.content.schema())?;
         }
         for al in &txn.actions {
             let slot = self.views.get_mut(&al.view).expect("validated");
             // Copy-on-write: clones the relation only when a reader still
             // holds the previous version's handle.
-            al.payload.apply_to(Arc::make_mut(&mut slot.content))?;
+            al.payload
+                .apply_to(Arc::make_mut(&mut slot.content))
+                .expect("validated");
             slot.version = slot.version.max(al.last);
         }
         self.commits += 1;
@@ -474,6 +485,25 @@ mod tests {
         assert_eq!(applied, 3, "exactly the prefix before the failure");
         assert!(matches!(err, WarehouseError::UnknownView(ViewId(9))));
 
+        // Same shape, failing on a tuple instead of a view id: the second
+        // action's tuple does not fit V2, after a first action that does
+        // fit V1. Nothing more may become visible.
+        let mut bad_arity = Delta::new();
+        bad_arity.insert(tuple![8]);
+        let schema_run = [
+            txn(
+                4,
+                vec![
+                    ActionList::single(ViewId(1), UpdateId(4), delta_ins(&[(6, 7)])),
+                    ActionList::single(ViewId(2), UpdateId(4), bad_arity),
+                ],
+            ),
+            good(5, 2, (10, 11)),
+        ];
+        let (applied, err) = w.apply_batch(schema_run.iter()).unwrap_err();
+        assert_eq!(applied, 0);
+        assert!(matches!(err, WarehouseError::Schema(_)));
+
         let mut prefix_only = wh();
         assert_eq!(prefix_only.apply_batch(run[..3].iter()).unwrap(), 3);
         assert_eq!(
@@ -603,6 +633,60 @@ mod tests {
         ));
         assert!(w.view(ViewId(1)).unwrap().is_empty(), "atomic rejection");
         assert!(w.history().is_empty());
+    }
+
+    /// A tuple that does not fit its view is found before anything moves:
+    /// the earlier action list of the same transaction (valid on its own,
+    /// and with a delete that would have hit) leaves no trace.
+    #[test]
+    fn schema_error_rejected_before_any_mutation() {
+        let mut w = wh();
+        w.apply(&txn(
+            1,
+            vec![ActionList::single(
+                ViewId(1),
+                UpdateId(1),
+                delta_ins(&[(1, 2)]),
+            )],
+        ))
+        .unwrap();
+        let before = w.clone();
+
+        let mut first = delta_ins(&[(3, 4)]);
+        first.delete(tuple![1, 2]);
+        let mut wrong_type = Delta::new();
+        wrong_type.insert(tuple![5, "x"]);
+        let mut wrong_arity = Delta::new();
+        wrong_arity.insert(tuple![5]);
+        for bad in [wrong_type, wrong_arity] {
+            let t = txn(
+                2,
+                vec![
+                    ActionList::single(ViewId(1), UpdateId(2), first.clone()),
+                    ActionList::single(ViewId(2), UpdateId(2), bad),
+                ],
+            );
+            assert!(matches!(w.apply(&t), Err(WarehouseError::Schema(_))));
+        }
+
+        let ids = [ViewId(1), ViewId(2)];
+        assert_eq!(w.read(&ids), before.read(&ids), "views untouched");
+        for id in ids {
+            assert_eq!(w.version(id), before.version(id));
+            assert_eq!(
+                w.view(id).unwrap().fingerprint(),
+                before.history()[0].fingerprints[&id]
+            );
+        }
+        assert_eq!(w.commit_count(), 1);
+        assert_eq!(w.history().len(), 1, "no record for a rejected txn");
+        // A mis-typed *delete* cannot match anything, so it is a no-op,
+        // not an error (deletes are clamped).
+        let mut d = Delta::new();
+        d.delete(tuple![5, "x"]);
+        w.apply(&txn(2, vec![ActionList::single(ViewId(2), UpdateId(2), d)]))
+            .unwrap();
+        assert!(w.view(ViewId(2)).unwrap().is_empty());
     }
 
     #[test]

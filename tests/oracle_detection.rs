@@ -238,3 +238,91 @@ fn distinguishes_strong_from_complete() {
         "batched run must NOT be complete (BWTs skip states)"
     );
 }
+
+/// The state vector is a 64-bit multiset hash the relations maintain
+/// incrementally, which must not have blunted the arbiter: the smallest
+/// possible divergence — one copy of one tuple, in one view, at one
+/// commit — is flagged on the write side and on the read side, whether
+/// it sits in the committed record or in what a reader was handed.
+#[test]
+fn detects_single_multiplicity_divergence() {
+    let spec = WorkloadSpec {
+        seed: 6,
+        relations: 3,
+        updates: 24,
+        key_domain: 5,
+        delete_percent: 25,
+        multi_percent: 0,
+    };
+    let config = SimConfig {
+        seed: 6 ^ 99,
+        readers: 2,
+        ..SimConfig::default()
+    };
+    let b = install_relations(SimBuilder::new(config), 3);
+    let (b, _) = install_views(
+        b,
+        ViewSuite::OverlappingChain { count: 2 },
+        ManagerKind::Complete,
+    );
+    let mut report = b.workload(generate(&spec).txns).run().expect("runs");
+    Oracle::new(&report).unwrap().assert_ok();
+
+    // A read that saw a non-empty view: the record it certifies against,
+    // and a copy of the view with one tuple's multiplicity one too high.
+    let (at, view, off_by_one) = report
+        .read_observations
+        .iter()
+        .enumerate()
+        .find_map(|(i, obs)| {
+            let (&v, rel) = obs.cut.views.iter().find(|(_, r)| !r.is_empty())?;
+            let mut bumped = rel.as_ref().clone();
+            let t = bumped.distinct().next().expect("non-empty").clone();
+            bumped.insert(t).unwrap();
+            (obs.cut.watermark > 0).then_some((i, v, bumped))
+        })
+        .expect("some read observed a non-empty committed view");
+    let watermark = report.read_observations[at].cut.watermark;
+    let committed = report.read_observations[at].cut.views[&view].fingerprint();
+    assert_ne!(off_by_one.fingerprint(), committed);
+
+    // (i) The committed record claims the neighbouring state.
+    let k = report
+        .warehouse
+        .history()
+        .iter()
+        .position(|r| r.commit_index == watermark)
+        .expect("record at the read's watermark");
+    let was = report.warehouse.history_mut()[k]
+        .fingerprints
+        .insert(view, off_by_one.fingerprint());
+    assert_eq!(was, Some(committed));
+    let oracle = Oracle::new(&report).unwrap();
+    assert!(
+        oracle
+            .check_report()
+            .iter()
+            .any(|(_, _, v)| !v.is_satisfied()),
+        "write side missed a one-copy divergence in the state vector"
+    );
+    assert!(
+        oracle.check_reads().is_err(),
+        "read side missed a record that no longer matches what was read"
+    );
+
+    // (ii) The record is right again; the reader's snapshot is one copy off.
+    report.warehouse.history_mut()[k]
+        .fingerprints
+        .insert(view, committed);
+    report.read_observations[at]
+        .cut
+        .views
+        .insert(view, std::sync::Arc::new(off_by_one));
+    let oracle = Oracle::new(&report).unwrap();
+    assert!(oracle
+        .check_report()
+        .iter()
+        .all(|(_, _, v)| v.is_satisfied()));
+    let violation = oracle.check_reads().expect_err("torn snapshot certified");
+    assert_eq!(violation.watermark, watermark);
+}
