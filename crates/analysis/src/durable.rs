@@ -82,7 +82,7 @@ impl DurableExploreOutcome {
     }
 }
 
-/// Re-frame the first `n` records into a fresh single-file log at `path`
+/// Re-frame the first `n` records into a fresh un-rotated log at `path`
 /// — the on-disk image a crash at exactly that record boundary leaves.
 fn write_prefix(
     records: &[WalRecord],
@@ -154,9 +154,9 @@ pub fn explore_durably(
         let report = builder.replay_durable(sched, &DurabilityConfig::new(&wal_path))?;
         out.schedules += 1;
 
-        let records = WalReader::open(&wal_path)
-            .and_then(|r| r.read_all())
-            .map_err(|e| PipelineError::Build(format!("schedule {i} log: {e}")))?;
+        let records = WalReader::open_log(&wal_path)
+            .map_err(|e| PipelineError::Build(format!("schedule {i} log: {e}")))?
+            .records;
 
         let mut k = 0;
         while k <= records.len() {

@@ -4,12 +4,11 @@
 //! scenario (Strobe managers, Theorem 5.1), one mixed-manager scenario
 //! and one mixed-manager + concurrent-reader scenario (MVCC snapshot
 //! reads, every observed cut certified against the commit history)
-//! through BOTH runtimes and dumps every stage's latency
+//! through the deterministic simulator and dumps every stage's latency
 //! distribution (p50/p99), throughput, commit rate and peak VUT
-//! occupancy. The simulator measures in virtual scheduler steps, the
-//! threaded runtime in nanoseconds; every run is tagged with its
-//! `runtime` and `unit` so the two are never compared directly —
-//! `--check` refuses cross-unit comparisons outright.
+//! occupancy, in virtual scheduler steps (every run is tagged with its
+//! `runtime` and `unit`). Wall-clock measurement of the threaded runtime
+//! is the `benchmark/` package's job.
 //!
 //! Run with: `cargo run --release -p mvc-bench --bin bench_pipeline`
 //! (writes `BENCH_pipeline.json` into the current directory).
@@ -22,19 +21,13 @@
 //!   --out <path>           output path (default BENCH_pipeline.json)
 //!   --check <baseline>     after running, compare commit rates against a
 //!                          committed baseline JSON; exits nonzero if any
-//!                          matching (scenario, runtime) run regressed by
-//!                          more than 20%, and refuses to compare runs
-//!                          whose `unit` fields differ.
-//!   --check-runtime <rt>   restrict `--check` to one runtime (`sim` or
-//!                          `threaded`); CI gates on `sim`, which is
-//!                          deterministic and hence noise-free.
+//!                          matching scenario regressed by more than 20%.
 //! ```
 
 use mvc_durability::DurabilityConfig;
 use mvc_whips::workload::{generate, install_relations, install_views, install_views_mixed};
 use mvc_whips::{
-    DurableOutcome, ManagerKind, SimBuilder, SimConfig, SimReport, ThreadedBuilder, ThreadedConfig,
-    ViewSuite, WorkloadSpec,
+    DurableOutcome, ManagerKind, SimBuilder, SimConfig, SimReport, ViewSuite, WorkloadSpec,
 };
 
 /// Commit-rate regression tolerance for `--check` (fraction of baseline).
@@ -55,8 +48,8 @@ struct Scenario {
     kinds: Vec<ManagerKind>,
     suite: ViewSuite,
     spec: WorkloadSpec,
-    /// Concurrent MVCC reader sessions (threads in the threaded runtime,
-    /// lottery participants in the sim). 0 = writer-only scenario.
+    /// Concurrent MVCC reader sessions (lottery participants in the
+    /// sim). 0 = writer-only scenario.
     readers: usize,
 }
 
@@ -132,36 +125,34 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// One `runs` row: virtual-time rates are events per thousand scheduler
+/// steps.
 fn entry(
     s: &Scenario,
-    runtime: &str,
-    unit: &str,
     report: &SimReport,
-    throughput: (f64, &str),
-    commit_rate: (f64, &str),
-    read_rate: Option<(f64, &str)>,
+    throughput: f64,
+    commit_rate: f64,
+    read_rate: Option<f64>,
 ) -> serde_json::Value {
-    let (tp, tp_unit) = throughput;
-    let (cr, cr_unit) = commit_rate;
     let mut fields = vec![
         ("scenario".to_owned(), s.name.into()),
-        ("runtime".to_owned(), runtime.into()),
-        ("unit".to_owned(), unit.into()),
+        ("runtime".to_owned(), "sim".into()),
+        ("unit".to_owned(), "virtual_steps".into()),
         ("injected".to_owned(), report.metrics.injected.into()),
         ("commits".to_owned(), report.metrics.commits.into()),
-        ("throughput".to_owned(), tp.into()),
-        ("throughput_unit".to_owned(), tp_unit.into()),
-        ("commit_rate".to_owned(), cr.into()),
-        ("commit_rate_unit".to_owned(), cr_unit.into()),
+        ("throughput".to_owned(), throughput.into()),
+        ("throughput_unit".to_owned(), "updates_per_kstep".into()),
+        ("commit_rate".to_owned(), commit_rate.into()),
+        ("commit_rate_unit".to_owned(), "commits_per_kstep".into()),
         ("pipeline".to_owned(), report.pipeline.to_json()),
     ];
-    if let Some((rr, rr_unit)) = read_rate {
+    if let Some(rr) = read_rate {
         fields.push((
             "reads".to_owned(),
             report.pipeline.read_staleness.count().into(),
         ));
         fields.push(("read_rate".to_owned(), rr.into()));
-        fields.push(("read_rate_unit".to_owned(), rr_unit.into()));
+        fields.push(("read_rate_unit".to_owned(), "reads_per_kstep".into()));
     }
     fields.into_iter().collect()
 }
@@ -202,7 +193,6 @@ fn run_sim(s: &Scenario) -> serde_json::Value {
     };
     let b = install(SimBuilder::new(config), s);
     let report = b.workload(w.txns).run().expect("sim run");
-    // Virtual-time rates: events per thousand scheduler steps.
     let per_kstep = |n: u64| {
         if report.metrics.steps > 0 {
             n as f64 * 1000.0 / report.metrics.steps as f64
@@ -213,61 +203,8 @@ fn run_sim(s: &Scenario) -> serde_json::Value {
     let tp = per_kstep(report.metrics.injected);
     let cr = per_kstep(report.metrics.commits);
     certify_reads(s, &report);
-    let rr = (s.readers > 0).then(|| {
-        (
-            per_kstep(report.pipeline.read_staleness.count()),
-            "reads_per_kstep",
-        )
-    });
-    entry(
-        s,
-        "sim",
-        "virtual_steps",
-        &report,
-        (tp, "updates_per_kstep"),
-        (cr, "commits_per_kstep"),
-        rr,
-    )
-}
-
-fn run_threaded(s: &Scenario) -> serde_json::Value {
-    let w = generate(&s.spec);
-    let mut config = ThreadedConfig::default();
-    // Tuning overrides for A/B runs; the committed baseline uses defaults.
-    if let Ok(n) = std::env::var("BENCH_BATCH_MAX") {
-        config.batch_max = n.parse().expect("BENCH_BATCH_MAX must be a number");
-    }
-    if let Ok(us) = std::env::var("BENCH_BATCH_DEADLINE_US") {
-        config.batch_deadline = std::time::Duration::from_micros(
-            us.parse()
-                .expect("BENCH_BATCH_DEADLINE_US must be a number"),
-        );
-    }
-    config.readers = s.readers;
-    let b = install(ThreadedBuilder::new(config), s);
-    let (report, wall) = b.workload(w.txns).run().expect("threaded run");
-    let secs = wall.elapsed.as_secs_f64();
-    let cr = if secs > 0.0 {
-        report.metrics.commits as f64 / secs
-    } else {
-        0.0
-    };
-    certify_reads(s, &report);
-    let rr = (s.readers > 0 && secs > 0.0).then(|| {
-        (
-            report.pipeline.read_staleness.count() as f64 / secs,
-            "reads_per_sec",
-        )
-    });
-    entry(
-        s,
-        "threaded",
-        "ns",
-        &report,
-        (wall.updates_per_sec, "updates_per_sec"),
-        (cr, "commits_per_sec"),
-        rr,
-    )
+    let rr = (s.readers > 0).then(|| per_kstep(report.pipeline.read_staleness.count()));
+    entry(s, &report, tp, cr, rr)
 }
 
 /// Shard-scaling sweep: the same fixed workload over 4 disjoint views,
@@ -407,8 +344,7 @@ fn shard_scaling() -> serde_json::Value {
 /// change a scheduling decision), so the only thing that moves is the
 /// fsync count — charged at [`FSYNC_COST_STEPS`] each, which makes the
 /// effective commit rate rise monotonically as group commit amortizes
-/// flushes. A threaded per-record vs. group-commit A/B rides along for
-/// wall-clock flavour but is informational only (1-CPU container).
+/// flushes.
 fn durability() -> serde_json::Value {
     let spec = WorkloadSpec {
         seed: 31,
@@ -491,64 +427,6 @@ fn durability() -> serde_json::Value {
         );
     }
 
-    let threaded_rows: Vec<serde_json::Value> = [
-        ("per_record", 1u64, None),
-        (
-            "group_commit",
-            1024,
-            Some(std::time::Duration::from_micros(500)),
-        ),
-    ]
-    .into_iter()
-    .map(|(label, fsync_every, deadline)| {
-        let w = generate(&spec);
-        let path = std::env::temp_dir().join(format!(
-            "mvc-bench-durability-threaded-{}-{label}.wal",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut dcfg = DurabilityConfig::new(&path).with_fsync_every(fsync_every);
-        if let Some(d) = deadline {
-            dcfg = dcfg.with_fsync_deadline(d);
-        }
-        let config = ThreadedConfig {
-            durability: Some(dcfg),
-            ..ThreadedConfig::default()
-        };
-        let b = install_relations(ThreadedBuilder::new(config), spec.relations);
-        let (b, _) = install_views(
-            b,
-            ViewSuite::OverlappingChain { count: 3 },
-            ManagerKind::Complete,
-        );
-        let (report, wall) = b.workload(w.txns).run().expect("threaded durable run");
-        let _ = std::fs::remove_file(&path);
-        let secs = wall.elapsed.as_secs_f64();
-        let cr = if secs > 0.0 {
-            report.metrics.commits as f64 / secs
-        } else {
-            0.0
-        };
-        println!(
-            "  durability threaded {label}: {} commits, {} fsyncs, {cr:.0} commits/sec",
-            report.metrics.commits, report.metrics.wal_fsyncs,
-        );
-        [
-            ("mode".to_owned(), serde_json::Value::from(label)),
-            ("fsync_every".to_owned(), fsync_every.into()),
-            (
-                "fsync_deadline_us".to_owned(),
-                deadline.map_or(0u64, |d| d.as_micros() as u64).into(),
-            ),
-            ("commits".to_owned(), report.metrics.commits.into()),
-            ("wal_fsyncs".to_owned(), report.metrics.wal_fsyncs.into()),
-            ("commit_rate_per_sec".to_owned(), cr.into()),
-        ]
-        .into_iter()
-        .collect()
-    })
-    .collect();
-
     [
         (
             "note".to_owned(),
@@ -557,27 +435,20 @@ fn durability() -> serde_json::Value {
              charged fsync_cost_steps scheduler steps and the effective commit \
              rate is commits per thousand (steps + charged) steps. The sweep \
              must be monotonically non-decreasing in fsync_every (group commit \
-             amortizes flushes). The threaded per-record vs group-commit A/B \
-             reports real wall clock and fsync counts but is informational \
-             only on this 1-CPU container; only the sim sweep is gated."
+             amortizes flushes)."
                 .into(),
         ),
         ("unit".to_owned(), "virtual_steps".into()),
         ("runtime".to_owned(), "sim".into()),
         ("fsync_cost_steps".to_owned(), FSYNC_COST_STEPS.into()),
         ("sweep".to_owned(), serde_json::Value::Array(rows)),
-        (
-            "threaded_group_commit".to_owned(),
-            serde_json::Value::Array(threaded_rows),
-        ),
     ]
     .into_iter()
     .collect()
 }
 
 /// Compare the fresh durability sweep against the committed baseline's,
-/// row by `fsync_every` row, at the usual tolerance. The sweep is
-/// sim-only (deterministic), so there is no runtime filter to apply.
+/// row by `fsync_every` row, at the usual tolerance.
 fn check_durability(baseline: &serde_json::Value, fresh: &serde_json::Value) -> Vec<String> {
     let mut errors = Vec::new();
     let empty = Vec::new();
@@ -617,63 +488,34 @@ fn check_durability(baseline: &serde_json::Value, fresh: &serde_json::Value) -> 
     errors
 }
 
-/// Key identifying a comparable run.
-fn run_key(run: &serde_json::Value) -> Option<(String, String)> {
-    Some((
-        run.get("scenario")?.as_str()?.to_owned(),
-        run.get("runtime")?.as_str()?.to_owned(),
-    ))
-}
-
-/// Compare fresh runs against a committed baseline. Returns errors; an
-/// empty vec means everything passed. Runs present on only one side are
-/// skipped (scenario sets may evolve), but a matching run with a
-/// different `unit` is an error — steps and nanoseconds do not compare.
-fn check_against(
-    baseline: &serde_json::Value,
-    fresh: &[serde_json::Value],
-    runtime_filter: Option<&str>,
-) -> Vec<String> {
+/// Compare fresh runs against a committed baseline, scenario by
+/// scenario. Returns errors; an empty vec means everything passed. Runs
+/// present on only one side are skipped (scenario sets may evolve).
+fn check_against(baseline: &serde_json::Value, fresh: &[serde_json::Value]) -> Vec<String> {
     let mut errors = Vec::new();
     let empty = Vec::new();
     let base_runs = baseline
         .get("runs")
         .and_then(|r| r.as_array())
         .unwrap_or(&empty);
+    let scenario = |run: &serde_json::Value| Some(run.get("scenario")?.as_str()?.to_owned());
+    let commit_rate = |run: &serde_json::Value| {
+        run.get("commit_rate")
+            .and_then(|v| v.as_f64())
+            .unwrap_or(0.0)
+    };
     for new in fresh {
-        let Some(key) = run_key(new) else { continue };
-        if runtime_filter.is_some_and(|rt| rt != key.1) {
-            continue;
-        }
-        let Some(old) = base_runs.iter().find(|r| run_key(r).as_ref() == Some(&key)) else {
+        let Some(name) = scenario(new) else { continue };
+        let Some(old) = base_runs
+            .iter()
+            .find(|r| scenario(r).as_ref() == Some(&name))
+        else {
             continue;
         };
-        let (old_unit, new_unit) = (
-            old.get("unit").and_then(|u| u.as_str()).unwrap_or(""),
-            new.get("unit").and_then(|u| u.as_str()).unwrap_or(""),
-        );
-        if old_unit != new_unit {
-            errors.push(format!(
-                "{}/{}: refusing to compare across units ({old_unit:?} vs {new_unit:?})",
-                key.0, key.1
-            ));
-            continue;
-        }
-        let old_cr = old
-            .get("commit_rate")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        let new_cr = new
-            .get("commit_rate")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
+        let (old_cr, new_cr) = (commit_rate(old), commit_rate(new));
         if old_cr > 0.0 && new_cr < old_cr * (1.0 - REGRESSION_TOLERANCE) {
             errors.push(format!(
-                "{}/{}: commit rate regressed {:.1} -> {:.1} (> {:.0}% drop)",
-                key.0,
-                key.1,
-                old_cr,
-                new_cr,
+                "{name}: commit rate regressed {old_cr:.1} -> {new_cr:.1} (> {:.0}% drop)",
                 REGRESSION_TOLERANCE * 100.0
             ));
         }
@@ -691,11 +533,6 @@ fn main() {
     let only = flag("--only");
     let out = flag("--out").unwrap_or_else(|| "BENCH_pipeline.json".to_owned());
     let check = flag("--check");
-    // Restrict `--check` to one runtime. CI passes `sim`: the simulator
-    // is deterministic, so its commit rate is a stable regression gate,
-    // while the threaded rate swings several-fold run-to-run on a busy
-    // or single-core box.
-    let check_runtime = flag("--check-runtime");
 
     let mut runs = Vec::new();
     for s in scenarios() {
@@ -704,8 +541,6 @@ fn main() {
         }
         println!("running {} (sim)...", s.name);
         runs.push(run_sim(&s));
-        println!("running {} (threaded)...", s.name);
-        runs.push(run_threaded(&s));
     }
     let sharding = if only.is_none() {
         println!("running shard_scaling sweep (sim)...");
@@ -716,7 +551,7 @@ fn main() {
     // `--only durability` runs just the durability sweep (the CI gate
     // uses it: the sweep is deterministic, so it needs no warm-up runs).
     let durable = if only.as_deref().is_none_or(|o| o == "durability") {
-        println!("running durability sweep (sim + threaded group-commit A/B)...");
+        println!("running durability sweep (sim)...");
         Some(durability())
     } else {
         None
@@ -724,8 +559,8 @@ fn main() {
     let doc: serde_json::Value = [
         (
             "note".to_owned(),
-            "per-stage pipeline latencies; every run tagged with runtime and unit \
-             (sim: virtual_steps, threaded: ns)"
+            "per-stage pipeline latencies of the deterministic sim; every run tagged \
+             with runtime and unit (sim: virtual_steps)"
                 .into(),
         ),
         ("runs".to_owned(), serde_json::Value::Array(runs.clone())),
@@ -743,13 +578,9 @@ fn main() {
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
         let baseline =
             serde_json::from_str(&text).unwrap_or_else(|e| panic!("parse baseline {path}: {e:?}"));
-        let mut errors = check_against(&baseline, &runs, check_runtime.as_deref());
-        // The durability sweep is sim-only and deterministic: gate it
-        // whenever the sim runtime is in scope.
-        if check_runtime.as_deref() != Some("threaded") {
-            if let Some(d) = &durable {
-                errors.extend(check_durability(&baseline, d));
-            }
+        let mut errors = check_against(&baseline, &runs);
+        if let Some(d) = &durable {
+            errors.extend(check_durability(&baseline, d));
         }
         if errors.is_empty() {
             println!("check vs {path}: OK");

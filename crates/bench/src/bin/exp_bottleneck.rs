@@ -49,7 +49,7 @@ fn sim_run(views: usize, window: usize, sequential: bool, seed: u64) -> (u64, u6
     (
         report.metrics.steps,
         report.merge_stats[0].max_live_rows as u64,
-        report.metrics.vut_occupancy.mean(),
+        report.pipeline.vut_occupancy.mean(),
         report.metrics.mean_update_latency(),
     )
 }

@@ -50,7 +50,7 @@ fn run(
     let report = b.workload(w.txns).run().expect("run");
     (
         report.metrics.mean_staleness(),
-        report.metrics.staleness_updates.max as f64,
+        report.metrics.staleness_updates.max() as f64,
         report.metrics.mean_update_latency(),
     )
 }

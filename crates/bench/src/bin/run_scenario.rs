@@ -133,7 +133,7 @@ struct RuntimeSpec {
     #[serde(default)]
     wal_fsync_deadline_us: Option<u64>,
     /// Rotate to a fresh `<wal>.seg{k}` segment every N records
-    /// (0 = single-file layout). With checkpoints enabled, segments
+    /// (0 = never rotate). With checkpoints enabled, segments
     /// wholly behind the newest checkpoint anchor are compacted away.
     #[serde(default)]
     wal_rotate_every: Option<u64>,

@@ -293,14 +293,6 @@ mod audit {
             .map(|n| n.to_string())
             .collect()
     }
-
-    pub(super) fn edge_count() -> usize {
-        graph()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .edges
-            .len()
-    }
 }
 
 /// Snapshot of every lock-order cycle detected so far, process-wide.
@@ -327,18 +319,6 @@ pub fn audited_lock_names() -> Vec<String> {
     #[cfg(not(feature = "lock-audit"))]
     {
         Vec::new()
-    }
-}
-
-/// Number of distinct lock-order edges observed so far (0 when off).
-pub fn lock_order_edges() -> usize {
-    #[cfg(feature = "lock-audit")]
-    {
-        audit::edge_count()
-    }
-    #[cfg(not(feature = "lock-audit"))]
-    {
-        0
     }
 }
 

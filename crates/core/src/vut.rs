@@ -150,10 +150,6 @@ impl<P> Vut<P> {
         self.rows.is_empty() && self.wt.is_empty()
     }
 
-    pub fn row_ids(&self) -> impl Iterator<Item = UpdateId> + '_ {
-        self.rows.keys().copied()
-    }
-
     pub fn has_row(&self, i: UpdateId) -> bool {
         self.rows.contains_key(&i)
     }
@@ -304,19 +300,6 @@ impl<P> Vut<P> {
             .map(|r| {
                 r.iter()
                     .filter(|(_, e)| e.color == Color::Red)
-                    .map(|(&v, _)| v)
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Views whose entry in row `i` is gray.
-    pub fn grays_in_row(&self, i: UpdateId) -> Vec<ViewId> {
-        self.rows
-            .get(&i)
-            .map(|r| {
-                r.iter()
-                    .filter(|(_, e)| e.color == Color::Gray)
                     .map(|(&v, _)| v)
                     .collect()
             })

@@ -5,7 +5,7 @@
 //! explicit binary format instead: little-endian fixed-width integers,
 //! u64-length-prefixed strings and sequences, and one tag byte per enum
 //! variant. Every encoder has exactly one decoder next to it; the format
-//! is versioned only through the WAL file magic (`MVCWAL01`).
+//! is versioned only through the WAL file magic (`WAL_MAGIC`).
 
 use mvc_core::{
     ActionList, Color, CommitPolicy, CommitStats, EngineSnapshot, Entry, MergeAlgorithm,

@@ -31,5 +31,5 @@ pub use codec::{from_bytes, to_bytes, Codec, CodecError, Reader};
 pub use record::WalRecord;
 pub use wal::{
     checksum, DurabilityConfig, FaultSpec, FlushTicket, KillMode, LogContents, WalError, WalReader,
-    WalWriter, WAL_MAGIC, WAL_SEG_MAGIC,
+    WalWriter, WAL_MAGIC,
 };

@@ -2,36 +2,30 @@
 //! segment rotation + compaction, fault injection, and the
 //! torn-tail-tolerant reader.
 //!
-//! Single-file layout (`rotate_every == 0`, byte-identical to the
-//! original format):
+//! A log is a chain of segment files — the first at the configured path
+//! itself, later ones at `<path>.seg1`, `<path>.seg2`, … — each laid out as
 //!
 //! ```text
-//! [8-byte magic "MVCWAL01"]
+//! [8-byte magic "MVCWAL02"]
+//! [u64 LE absolute index of this segment's first record]
 //! frame*  where frame = [u32 LE payload length]
 //!                       [u64 LE FNV-1a checksum of payload]
 //!                       [payload bytes]
 //! ```
 //!
-//! Segmented layout (`rotate_every > 0`): the log is a sequence of files
-//! `<path>.seg0`, `<path>.seg1`, … each laid out as
-//!
-//! ```text
-//! [8-byte magic "MVCWAL02"]
-//! [u64 LE absolute index of this segment's first record]
-//! frame*
-//! ```
-//!
-//! The writer rotates to a fresh segment once the current one holds
-//! `rotate_every` records (the buffered tail is flushed first, so a flush
-//! batch — and therefore a frame — never spans two files). When a
+//! With `rotate_every == 0` the writer never rotates and the log is that
+//! one file. Otherwise it rotates to a fresh segment once the current one
+//! holds `rotate_every` records (the buffered tail is flushed first, so a
+//! flush batch — and therefore a frame — never spans two files). When a
 //! [`WalRecord::Checkpoint`] is appended and compaction is enabled,
-//! every segment whose records all precede the checkpoint's
+//! every closed segment whose records all precede the checkpoint's
 //! [`CheckpointState::min_anchor`](crate::checkpoint::CheckpointState::min_anchor)
 //! is deleted; the reader then reports the surviving base index so
 //! recovery can keep gating replay on *absolute* record indices.
 //!
-//! The magic is written (and fsynced) at open. Frames are buffered, then
-//! written **and fsynced** every `fsync_every` records — `fsync_every`
+//! The header is written (and fsynced) when a segment is opened. Frames
+//! are buffered, then written **and fsynced** every `fsync_every`
+//! records — `fsync_every`
 //! bounds both the OS-buffer window and the durability window, so a
 //! crash can lose a suffix of appended records: exactly the delayed-
 //! group-fsync window real systems have (and exactly what the
@@ -45,16 +39,14 @@ use crate::codec::{from_bytes, to_bytes};
 use crate::record::WalRecord;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Single-file magic, bumped when the frame or record format changes.
-pub const WAL_MAGIC: &[u8; 8] = b"MVCWAL01";
-
-/// Segment-file magic (followed by a u64 LE base record index).
-pub const WAL_SEG_MAGIC: &[u8; 8] = b"MVCWAL02";
+/// Log-file magic (followed by a u64 LE base record index), bumped when
+/// the header, frame or record format changes.
+pub const WAL_MAGIC: &[u8; 8] = b"MVCWAL02";
 
 const FRAME_HEADER: usize = 4 + 8;
 const SEG_HEADER: usize = 8 + 8;
@@ -176,7 +168,7 @@ pub struct DurabilityConfig {
     /// discipline only.
     pub fsync_deadline: Option<Duration>,
     /// Rotate to a fresh `<path>.seg{k}` file once the current segment
-    /// holds N records (0 = the legacy single-file layout).
+    /// holds N records (0 = never rotate).
     pub rotate_every: u64,
     pub fault: Option<FaultSpec>,
 }
@@ -223,31 +215,34 @@ impl DurabilityConfig {
 /// One live segment file.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
-    /// The `k` in `.seg{k}`.
+    /// The `k` in `.seg{k}` (0 = the log path itself).
     k: u64,
     /// Absolute index of the segment's first record.
     base: u64,
 }
 
+/// Segment `k`'s file: the log path itself for the first, `<path>.seg{k}`
+/// after.
 fn seg_path(base: &Path, k: u64) -> PathBuf {
+    if k == 0 {
+        return base.to_owned();
+    }
     let mut s = base.as_os_str().to_owned();
     s.push(format!(".seg{k}"));
     PathBuf::from(s)
 }
 
-/// Remove any stale log files (both layouts) left by a previous run at
-/// this path, so create() always starts from a clean slate.
+/// Remove any stale log files left by a previous run at this path, so
+/// create() always starts from a clean slate.
 fn clean_stale(path: &Path) -> Result<(), WalError> {
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
     for (_, p) in find_segments(path) {
         std::fs::remove_file(p)?;
     }
     Ok(())
 }
 
-/// All `<path>.seg{k}` siblings, sorted by `k`.
+/// The log's segment files on disk — `path` itself (segment 0) and every
+/// `<path>.seg{k}` sibling — sorted by `k`.
 fn find_segments(path: &Path) -> Vec<(u64, PathBuf)> {
     let Some(parent) = path.parent() else {
         return Vec::new();
@@ -262,8 +257,11 @@ fn find_segments(path: &Path) -> Vec<(u64, PathBuf)> {
     };
     let prefix = format!("{name}.seg");
     let mut out = Vec::new();
+    if path.exists() {
+        out.push((0, path.to_owned()));
+    }
     let Ok(entries) = std::fs::read_dir(parent) else {
-        return Vec::new();
+        return out;
     };
     for e in entries.flatten() {
         let file = e.file_name();
@@ -278,6 +276,20 @@ fn find_segments(path: &Path) -> Vec<(u64, PathBuf)> {
     out
 }
 
+/// Create (truncate) segment `k` of the log at `path` and durably write
+/// its header.
+fn open_segment(path: &Path, k: u64, base: u64) -> Result<File, WalError> {
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(seg_path(path, k))?;
+    file.write_all(WAL_MAGIC)?;
+    file.write_all(&base.to_le_bytes())?;
+    file.sync_data()?;
+    Ok(file)
+}
+
 /// Appending side of the WAL.
 ///
 /// ```
@@ -289,7 +301,7 @@ fn find_segments(path: &Path) -> Vec<(u64, PathBuf)> {
 /// w.append(&WalRecord::TxnCommitted { group: 0, seq: TxnSeq(1) }).unwrap();
 /// w.finalize().unwrap();
 ///
-/// let records = WalReader::open(&path).unwrap().read_all().unwrap();
+/// let records = WalReader::open_log(&path).unwrap().records;
 /// assert!(matches!(
 ///     records[0],
 ///     WalRecord::TxnCommitted { group: 0, seq: TxnSeq(1) }
@@ -315,54 +327,33 @@ pub struct WalWriter {
     /// Crash point fired; all further appends are no-ops.
     dead: bool,
     /// Live segments, oldest first; the last entry is the one being
-    /// written. Empty in single-file mode.
+    /// written.
     segments: Vec<Segment>,
-    /// Checkpoint-anchored truncation of dead segments. On by default in
-    /// segmented mode; runtimes turn it off when any registered view
-    /// needs delivery replay from the log's genesis (Strobe/Convergent).
+    /// Checkpoint-anchored truncation of dead segments. On by default;
+    /// runtimes turn it off when any registered view needs delivery
+    /// replay from the log's genesis (Strobe/Convergent).
     compaction: bool,
 }
 
 impl WalWriter {
-    /// Create (truncate) the WAL and durably write the magic. Stale files
-    /// from either layout at the same path are removed first.
+    /// Create (truncate) the WAL and durably write the first segment's
+    /// header. Stale log files at the same path are removed first.
     pub fn create(config: &DurabilityConfig) -> Result<Self, WalError> {
         clean_stale(&config.wal_path)?;
-        let rotate_every = config.rotate_every;
-        let (file, segments) = if rotate_every == 0 {
-            let mut file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&config.wal_path)?;
-            file.write_all(WAL_MAGIC)?;
-            file.sync_data()?;
-            (file, Vec::new())
-        } else {
-            let mut file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(seg_path(&config.wal_path, 0))?;
-            file.write_all(WAL_SEG_MAGIC)?;
-            file.write_all(&0u64.to_le_bytes())?;
-            file.sync_data()?;
-            (file, vec![Segment { k: 0, base: 0 }])
-        };
         Ok(WalWriter {
-            file,
+            file: open_segment(&config.wal_path, 0, 0)?,
             path: config.wal_path.clone(),
             buffer: Vec::new(),
             buffered_records: 0,
             fsync_every: config.fsync_every.max(1),
-            rotate_every,
+            rotate_every: config.rotate_every,
             fault: config.fault,
             records_appended: 0,
             next_index: 0,
             fsyncs: 0,
             dead: false,
-            segments,
-            compaction: rotate_every > 0,
+            segments: vec![Segment { k: 0, base: 0 }],
+            compaction: true,
         })
     }
 
@@ -370,7 +361,7 @@ impl WalWriter {
     /// append crashes instead: the unflushed buffer is discarded, the
     /// durable tail is torn by `torn_tail_bytes`, and the writer goes
     /// dead. Appending a checkpoint additionally compacts dead segments
-    /// (segmented mode with compaction enabled).
+    /// (with compaction enabled).
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), WalError> {
         if self.dead {
             return match self.fault.map(|f| f.mode) {
@@ -386,19 +377,11 @@ impl WalWriter {
         }
         // Rotate before framing: the buffered tail is flushed into the
         // old segment first, so no flush batch ever spans two files.
-        if self.rotate_every > 0 {
-            let base = self.segments.last().expect("segmented mode").base;
-            if self.next_index - base >= self.rotate_every {
-                self.flush()?;
-                self.rotate()?;
-            }
+        let base = self.segments.last().expect("never empty").base;
+        if self.rotate_every > 0 && self.next_index - base >= self.rotate_every {
+            self.flush()?;
+            self.rotate()?;
         }
-        let anchor = match rec {
-            WalRecord::Checkpoint(ck) if self.compaction && self.rotate_every > 0 => {
-                Some(ck.min_anchor())
-            }
-            _ => None,
-        };
         let payload = to_bytes(rec);
         let len = u32::try_from(payload.len()).expect("record under 4 GiB");
         self.buffer.extend_from_slice(&len.to_le_bytes());
@@ -410,13 +393,10 @@ impl WalWriter {
         if self.buffered_records >= self.fsync_every {
             self.flush()?;
         }
-        if let Some(anchor) = anchor {
-            // The checkpoint itself must be durable before anything it
-            // makes redundant is unlinked.
-            self.flush()?;
-            self.compact_below(anchor)?;
+        match rec {
+            WalRecord::Checkpoint(ck) if self.compaction => self.compact_below(ck.min_anchor()),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn crash(&mut self, f: FaultSpec) -> Result<(), WalError> {
@@ -425,12 +405,7 @@ impl WalWriter {
         self.dead = true;
         if f.torn_tail_bytes > 0 {
             let len = self.file.metadata()?.len();
-            let floor = if self.rotate_every == 0 {
-                WAL_MAGIC.len() as u64
-            } else {
-                SEG_HEADER as u64
-            };
-            let new_len = len.saturating_sub(f.torn_tail_bytes).max(floor);
+            let new_len = len.saturating_sub(f.torn_tail_bytes).max(SEG_HEADER as u64);
             self.file.set_len(new_len)?;
             self.file.sync_data()?;
         }
@@ -457,16 +432,8 @@ impl WalWriter {
     /// be flushed).
     fn rotate(&mut self) -> Result<(), WalError> {
         debug_assert!(self.buffer.is_empty(), "flush before rotate");
-        let k = self.segments.last().expect("segmented mode").k + 1;
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(seg_path(&self.path, k))?;
-        file.write_all(WAL_SEG_MAGIC)?;
-        file.write_all(&self.next_index.to_le_bytes())?;
-        file.sync_data()?;
-        self.file = file;
+        let k = self.segments.last().expect("never empty").k + 1;
+        self.file = open_segment(&self.path, k, self.next_index)?;
         self.segments.push(Segment {
             k,
             base: self.next_index,
@@ -475,14 +442,15 @@ impl WalWriter {
     }
 
     /// Unlink every closed segment whose records all have absolute index
-    /// `< anchor`. The live (last) segment is never unlinked, so the log
-    /// always retains the checkpoint record that anchored the truncation.
+    /// `< anchor`, the anchor of the checkpoint just appended. The live
+    /// (last) segment is never unlinked, so the log always retains the
+    /// checkpoint record that anchored the truncation.
     fn compact_below(&mut self, anchor: u64) -> Result<(), WalError> {
-        while self.segments.len() > 1 {
-            // segments[0] spans [segments[0].base, segments[1].base).
-            if self.segments[1].base > anchor {
-                break;
-            }
+        // segments[0] spans [segments[0].base, segments[1].base).
+        while self.segments.len() > 1 && self.segments[1].base <= anchor {
+            // The checkpoint itself must be durable before anything it
+            // makes redundant is unlinked (a no-op once flushed).
+            self.flush()?;
             let dead = self.segments.remove(0);
             std::fs::remove_file(seg_path(&self.path, dead.k))?;
         }
@@ -519,8 +487,8 @@ impl WalWriter {
         self.fsyncs
     }
 
-    /// `k` values of the segments currently on disk (empty in
-    /// single-file mode). Compaction shrinks this from the front.
+    /// `k` values of the segments currently on disk (`[0]` until the
+    /// first rotation). Compaction shrinks this from the front.
     pub fn live_segments(&self) -> Vec<u64> {
         self.segments.iter().map(|s| s.k).collect()
     }
@@ -539,41 +507,18 @@ pub struct LogContents {
     pub base: u64,
 }
 
-/// Reading side: scans a single WAL file into records.
-pub struct WalReader {
-    bytes: Vec<u8>,
-}
+/// Reading side: scans a log's segment chain into records.
+pub struct WalReader;
 
 impl WalReader {
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        let mut file = File::open(path.as_ref())?;
-        file.seek(SeekFrom::Start(0))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(WalError::BadMagic);
-        }
-        Ok(WalReader { bytes })
-    }
-
-    /// Decode every intact record. An incomplete trailing frame is a
-    /// clean stop (torn write); a complete frame that fails its checksum
-    /// or decode is [`WalError::CorruptRecord`].
-    pub fn read_all(&self) -> Result<Vec<WalRecord>, WalError> {
-        let (records, _clean) = decode_frames(&self.bytes, WAL_MAGIC.len(), 0)?;
-        Ok(records)
-    }
-
-    /// Read a whole log at `path`, whichever layout it uses: the plain
-    /// single file if it exists, otherwise the `.seg{k}` segment chain
-    /// stitched in order. Verifies base-index continuity across segments
-    /// and tolerates a torn tail only in the final segment.
+    /// Read the whole log at `path`: its segment files stitched in
+    /// order. Verifies base-index continuity across segments and
+    /// tolerates a torn tail only in the final segment: an incomplete
+    /// trailing frame there is a clean stop (torn write); a complete
+    /// frame that fails its checksum or decode is
+    /// [`WalError::CorruptRecord`].
     pub fn open_log(path: impl AsRef<Path>) -> Result<LogContents, WalError> {
         let path = path.as_ref();
-        if path.exists() {
-            let records = WalReader::open(path)?.read_all()?;
-            return Ok(LogContents { records, base: 0 });
-        }
         let segs = find_segments(path);
         if segs.is_empty() {
             return Err(WalError::Io(std::io::Error::new(
@@ -587,7 +532,7 @@ impl WalReader {
         let last = segs.len() - 1;
         for (i, (k, p)) in segs.iter().enumerate() {
             let bytes = std::fs::read(p)?;
-            if bytes.len() < SEG_HEADER || &bytes[..WAL_SEG_MAGIC.len()] != WAL_SEG_MAGIC {
+            if bytes.len() < SEG_HEADER || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
                 return Err(WalError::BadMagic);
             }
             let seg_base = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
@@ -741,7 +686,6 @@ mod tests {
     }
 
     fn cleanup(path: &Path) {
-        std::fs::remove_file(path).ok();
         for (_, p) in find_segments(path) {
             std::fs::remove_file(p).ok();
         }
@@ -759,7 +703,7 @@ mod tests {
         })
         .unwrap();
         w.finalize().unwrap();
-        let records = WalReader::open(&path).unwrap().read_all().unwrap();
+        let records = WalReader::open_log(&path).unwrap().records;
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].kind(), "rel-installed");
         assert_eq!(records[1].kind(), "txn-committed");
@@ -782,7 +726,7 @@ mod tests {
         }
         assert!(w.is_dead());
         // Records 1-4 were buffered and never flushed; the crash drops them.
-        let records = WalReader::open(&path).unwrap().read_all().unwrap();
+        let records = WalReader::open_log(&path).unwrap().records;
         assert!(records.is_empty(), "nothing was fsynced before the crash");
         cleanup(&path);
     }
@@ -803,7 +747,7 @@ mod tests {
             Err(WalError::CrashPoint)
         ));
         // Durable prefix survives: fsync_every=1 flushed records 1-2.
-        let records = WalReader::open(&path).unwrap().read_all().unwrap();
+        let records = WalReader::open_log(&path).unwrap().records;
         assert_eq!(records.len(), 2);
         cleanup(&path);
     }
@@ -821,7 +765,7 @@ mod tests {
             w.append(&rel_rec(0, i)).unwrap();
         }
         // Records 1-3 durable; the torn tail ate into record 3's frame.
-        let records = WalReader::open(&path).unwrap().read_all().unwrap();
+        let records = WalReader::open_log(&path).unwrap().records;
         assert_eq!(records.len(), 2, "torn frame dropped, no error");
         cleanup(&path);
     }
@@ -838,15 +782,16 @@ mod tests {
         drop(w);
         // Flip one byte inside the SECOND frame's payload.
         let mut bytes = std::fs::read(&path).unwrap();
-        let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let second_payload = 8 + FRAME_HEADER + first_len + FRAME_HEADER;
+        let first_len =
+            u32::from_le_bytes(bytes[SEG_HEADER..SEG_HEADER + 4].try_into().unwrap()) as usize;
+        let second_payload = SEG_HEADER + FRAME_HEADER + first_len + FRAME_HEADER;
         bytes[second_payload] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let err = WalReader::open(&path).unwrap().read_all().unwrap_err();
+        let err = WalReader::open_log(&path).unwrap_err();
         match err {
             WalError::CorruptRecord { index, offset } => {
                 assert_eq!(index, 1, "second record flagged");
-                assert_eq!(offset as usize, 8 + FRAME_HEADER + first_len);
+                assert_eq!(offset as usize, SEG_HEADER + FRAME_HEADER + first_len);
             }
             other => panic!("expected CorruptRecord, got {other}"),
         }
@@ -856,12 +801,52 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let path = temp_path("magic");
-        std::fs::write(&path, b"NOTAWAL!rest").unwrap();
-        assert!(matches!(WalReader::open(&path), Err(WalError::BadMagic)));
+        // Not a log at all, and a file of the previous format version
+        // (magic ending `01`, then frames with no base index): both are
+        // refused, never mis-parsed.
+        let mut legacy = WAL_MAGIC.to_vec();
+        legacy[7] = b'1';
+        legacy.extend_from_slice(&[0u8; FRAME_HEADER]);
+        for bytes in [b"NOTAWAL!rest".to_vec(), legacy] {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(matches!(
+                WalReader::open_log(&path),
+                Err(WalError::BadMagic)
+            ));
+        }
         cleanup(&path);
     }
 
-    // ------------------------------------------------- segmented layout
+    // --------------------------------------------------------- rotation
+
+    /// Rotation changes where frames land, never what the log says: the
+    /// same appends decode to the same records rotated or not, and the
+    /// un-rotated log is the one file at the configured path.
+    #[test]
+    fn rotation_does_not_change_the_decoded_log() {
+        let decoded = |name: &str, rotate_every: u64, segments: &[u64]| {
+            let path = temp_path(name);
+            let cfg = DurabilityConfig::new(&path)
+                .with_fsync_every(3)
+                .with_rotate_every(rotate_every);
+            let mut w = WalWriter::create(&cfg).unwrap();
+            for i in 1..=12 {
+                w.append(&rel_rec(i % 2, i)).unwrap();
+            }
+            w.finalize().unwrap();
+            assert_eq!(w.live_segments(), segments);
+            let on_disk: Vec<u64> = find_segments(&path).iter().map(|(k, _)| *k).collect();
+            assert_eq!(on_disk, segments);
+            assert!(path.is_file(), "segment 0 is the log path itself");
+            let log = WalReader::open_log(&path).unwrap();
+            cleanup(&path);
+            assert_eq!(log.base, 0);
+            log.records.iter().map(to_bytes).collect::<Vec<_>>()
+        };
+        let plain = decoded("same-plain", 0, &[0]);
+        assert_eq!(plain.len(), 12);
+        assert_eq!(plain, decoded("same-rotated", 5, &[0, 1, 2]));
+    }
 
     #[test]
     fn rotation_splits_and_reader_stitches() {
@@ -874,7 +859,6 @@ mod tests {
         w.finalize().unwrap();
         assert_eq!(w.live_segments(), vec![0, 1, 2]);
         drop(w);
-        assert!(!path.exists(), "segmented mode writes no plain file");
         let log = WalReader::open_log(&path).unwrap();
         assert_eq!(log.base, 0);
         assert_eq!(log.records.len(), 8);
@@ -906,7 +890,7 @@ mod tests {
         let mut total = 0;
         for (k, p) in find_segments(&path) {
             let bytes = std::fs::read(&p).unwrap();
-            assert_eq!(&bytes[..8], WAL_SEG_MAGIC, "segment {k} magic");
+            assert_eq!(&bytes[..8], WAL_MAGIC, "segment {k} magic");
             let base = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
             let (recs, clean) = decode_frames(&bytes, SEG_HEADER, base).unwrap();
             assert!(clean, "segment {k} ends on a frame boundary");

@@ -84,15 +84,6 @@ impl Delta {
         d
     }
 
-    /// Pure-delete delta from a relation.
-    pub fn deletes_from(rel: &Relation) -> Self {
-        let mut d = Delta::new();
-        for (t, n) in rel.iter_counted() {
-            d.add(t.clone(), -(n as i64));
-        }
-        d
-    }
-
     pub fn is_empty(&self) -> bool {
         self.changes.is_empty()
     }

@@ -268,23 +268,6 @@ pub fn aggregate(def: &ViewDef, core: &Relation) -> Result<Relation, EvalError> 
     Ok(out)
 }
 
-/// Group keys of a core relation under a view's group-by (used by the
-/// incremental maintainer to find affected groups).
-pub fn group_keys(def: &ViewDef, core: &Relation) -> Result<Vec<Vec<Value>>, EvalError> {
-    let mut keys: Vec<Vec<Value>> = Vec::new();
-    for (t, _) in core.iter_counted() {
-        let key: Vec<Value> = def
-            .group_by
-            .iter()
-            .map(|g| g.eval(t))
-            .collect::<Result<_, _>>()?;
-        keys.push(key);
-    }
-    keys.sort();
-    keys.dedup();
-    Ok(keys)
-}
-
 fn eval_aggregate(func: AggFunc, input: &Expr, rows: &[(&Tuple, u64)]) -> Result<Value, EvalError> {
     match func {
         AggFunc::Count => {

@@ -127,18 +127,6 @@ impl Relation {
         }
     }
 
-    /// Build from tuples, validating each against the schema.
-    pub fn from_tuples<I>(schema: Schema, tuples: I) -> Result<Self, SchemaError>
-    where
-        I: IntoIterator<Item = Tuple>,
-    {
-        let mut r = Relation::new(schema);
-        for t in tuples {
-            r.insert(t)?;
-        }
-        Ok(r)
-    }
-
     pub fn schema(&self) -> &Schema {
         &self.schema
     }

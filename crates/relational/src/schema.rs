@@ -1,6 +1,6 @@
 //! Relation names, attributes and schemas.
 
-use crate::value::{Value, ValueType};
+use crate::value::ValueType;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -267,17 +267,11 @@ impl fmt::Display for Schema {
     }
 }
 
-/// Helper: value conforms to type?
-pub fn value_conforms(v: &Value, ty: ValueType) -> bool {
-    v.is_null()
-        || v.value_type() == ty
-        || matches!((ty, v.value_type()), (ValueType::Float, ValueType::Int))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuple;
+    use crate::value::Value;
 
     #[test]
     fn rejects_duplicate_names() {

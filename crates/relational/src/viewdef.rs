@@ -141,15 +141,6 @@ impl ViewDef {
         }
     }
 
-    /// Shorthand: a copy view `V = R`.
-    pub fn copy_of(
-        name: impl Into<ViewName>,
-        rel: impl Into<RelationName>,
-        catalog: &Catalog,
-    ) -> Result<ViewDef, SchemaError> {
-        ViewDef::builder(name).from(rel).build(catalog)
-    }
-
     /// Shorthand: natural join on explicitly given attribute pairs,
     /// e.g. `join("V1", [("R","S",&[("b","b")])], catalog)` builds
     /// `V1 = R ⋈_{R.b=S.b} S`.
@@ -213,11 +204,6 @@ impl ViewDef {
             }
         }
         true
-    }
-
-    /// Is this view affected by *any* of the given changed tuples of `rel`?
-    pub fn relevant_update(&self, rel: &RelationName, tuples: &[Tuple]) -> bool {
-        tuples.iter().any(|t| self.relevant_tuple(rel, t))
     }
 }
 

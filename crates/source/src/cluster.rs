@@ -162,11 +162,6 @@ impl SourceCluster {
         &self.history
     }
 
-    /// Which source owns a relation.
-    pub fn owner_of(&self, rel: &RelationName) -> Option<SourceId> {
-        self.logs.get(rel).map(|l| l.owner)
-    }
-
     /// Execute a single-source transaction (§2.1): all writes must target
     /// relations owned by `source`. Use [`SourceCluster::execute_global`] for §6.2
     /// multi-source transactions.

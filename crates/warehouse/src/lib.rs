@@ -2,9 +2,8 @@
 //!
 //! The warehouse tier of the MVC reproduction: materialized views, atomic
 //! multi-view transactions (the merge process's `WT`s and `BWT`s of §4.3),
-//! commit-history recording for the consistency oracle, consistent
-//! multi-view readers (§1.1's customer-inquiry access pattern), and a
-//! commit-reordering fault injector that reproduces the §4.3 hazard.
+//! commit-history recording for the consistency oracle, and consistent
+//! multi-view reads (§1.1's customer-inquiry access pattern).
 //!
 //! This crate instantiates `mvc-core`'s opaque action-list payload with
 //! the relational [`ViewDelta`].
@@ -12,11 +11,9 @@
 #![forbid(unsafe_code)]
 
 pub mod shard;
-pub mod shared;
 pub mod store;
 
 pub use shard::{merge_shards, ShardInput, ShardMerge, ShardMergeError};
-pub use shared::{ReorderingCommitter, SharedWarehouse};
 pub use store::{
     CommittedTxn, StoreTxn, ViewDelta, Warehouse, WarehouseAction, WarehouseError,
     WarehouseSnapshot,

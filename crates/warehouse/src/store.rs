@@ -162,10 +162,6 @@ impl Warehouse {
         self.views.keys().copied()
     }
 
-    pub fn view_name(&self, id: ViewId) -> Option<&ViewName> {
-        self.views.get(&id).map(|s| &s.name)
-    }
-
     /// Current contents of one view.
     pub fn view(&self, id: ViewId) -> Option<&Relation> {
         self.views.get(&id).map(|s| s.content.as_ref())

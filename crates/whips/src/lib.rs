@@ -28,7 +28,7 @@ pub use integrator::{GroupRouting, Integrator};
 pub use machine::{ChanId, Choice};
 // Re-exported so oracle users can name the read-certification types
 // without a direct mvc-readpath dependency.
-pub use metrics::{SimMetrics, Summary};
+pub use metrics::SimMetrics;
 pub use mvc_readpath::{ReadCertificate, ReadObservation, ReadViolation};
 pub use obs::{Histogram, PipelineObs, QueueGauge};
 pub use oracle::{Oracle, ShardViolation, Verdict};

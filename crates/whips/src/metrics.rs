@@ -1,42 +1,14 @@
-//! Metrics for the §7 experiments: view freshness, merge hold time,
-//! throughput, queue/VUT occupancy.
+//! Run-level metrics for the §7 experiments: throughput counters, view
+//! freshness and update latency. Distributions are [`Histogram`]s; the
+//! per-stage ones (merge hold time, commit delay, VUT occupancy, queue
+//! depths) live in [`crate::obs::PipelineObs`].
 //!
 //! The deterministic simulator measures in *steps* (scheduler events —
 //! each step delivers one message or injects one transaction), which is
 //! the simulator's virtual time. The threaded runtime measures wall clock.
 
+use crate::obs::Histogram;
 use serde::{Deserialize, Serialize};
-
-/// Simple accumulator for min/max/mean over u64 samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-}
-
-impl Summary {
-    pub fn record(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
 
 /// Metrics collected by a simulation run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -49,14 +21,10 @@ pub struct SimMetrics {
     pub commits: u64,
     /// Staleness at commit time, in *source updates*: how many commits the
     /// sources were ahead of the transaction's frontier when it committed.
-    pub staleness_updates: Summary,
+    pub staleness_updates: Histogram,
     /// Latency from a source update's injection step to the commit step of
     /// the warehouse transaction that first covered it (per update).
-    pub update_latency_steps: Summary,
-    /// Released-to-committed delay per warehouse transaction.
-    pub commit_delay_steps: Summary,
-    /// Live VUT rows sampled at every merge-process event.
-    pub vut_occupancy: Summary,
+    pub update_latency_steps: Histogram,
     /// Messages delivered per channel class (diagnostics).
     pub messages_delivered: u64,
     /// Physical fsync batches the WAL issued over the whole run (durable
@@ -83,23 +51,5 @@ impl SimMetrics {
 
     pub fn mean_update_latency(&self) -> f64 {
         self.update_latency_steps.mean()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn summary_statistics() {
-        let mut s = Summary::default();
-        assert_eq!(s.mean(), 0.0);
-        s.record(10);
-        s.record(20);
-        s.record(3);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.min, 3);
-        assert_eq!(s.max, 20);
-        assert!((s.mean() - 11.0).abs() < 1e-9);
     }
 }

@@ -2,11 +2,14 @@
 //! instrumentation shared by both runtimes.
 //!
 //! The deterministic simulator measures in virtual *steps*, the threaded
-//! runtime in *nanoseconds*; both feed the same [`PipelineObs`] so the
-//! `bench_pipeline` harness can print comparable per-stage percentile
-//! tables (`BENCH_pipeline.json`).
+//! runtime in *nanoseconds*; both feed the same [`PipelineObs`], so the
+//! sim's per-stage percentile tables (`bench_pipeline`,
+//! `BENCH_pipeline.json`) and the threaded ones (`benchmark/`) read alike.
 //!
-//! [`Histogram`] is designed for concurrent pipelines without shared
+//! [`Histogram`] is the one sample-distribution type (the run-level
+//! [`crate::metrics::SimMetrics`] uses it too): `count`/`min`/`max`/`mean`
+//! are exact, quantiles are bucketed. It is designed for concurrent
+//! pipelines without shared
 //! locks: every thread records into its own private instance and the
 //! driver folds them together with [`Histogram::merge`] after the joins.
 //! Merging is exact (bucket-wise addition), associative and commutative,
@@ -408,12 +411,14 @@ mod tests {
     #[test]
     fn exact_for_small_values() {
         let mut h = Histogram::new();
+        assert_eq!(h.mean(), 0.0);
         for v in 0..16u64 {
             h.record(v);
         }
         assert_eq!(h.count(), 16);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 15);
+        assert_eq!(h.mean(), 7.5);
         assert_eq!(h.quantile(1.0), 15);
         assert_eq!(h.p50(), 7, "small values are bucketed exactly");
     }

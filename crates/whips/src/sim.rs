@@ -88,8 +88,6 @@ pub struct SimConfig {
     /// fuzz stack covers those interleavings). Every observed cut is
     /// retained in `SimReport::read_observations` for certification.
     pub readers: usize,
-    /// Safety cap on scheduler steps.
-    pub max_steps: u64,
     /// Write-ahead logging + crash injection (`None` = in-memory only).
     /// Durable runs reject §1.2 dynamic installs — the install protocol's
     /// pseudo-updates are not in the WAL vocabulary.
@@ -109,6 +107,9 @@ pub struct SimConfig {
     pub shards: usize,
 }
 
+/// Safety cap on scheduler steps ([`SimError::StepLimit`] past it).
+const MAX_STEPS: u64 = 50_000_000;
+
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
@@ -123,7 +124,6 @@ impl Default for SimConfig {
             max_open_updates: None,
             record_snapshots: true,
             readers: 0,
-            max_steps: 50_000_000,
             durability: None,
             groups: None,
             shards: 1,
@@ -591,7 +591,7 @@ pub(crate) struct SimDriver {
     /// Reader workload sessions (scheduler participants).
     reader_sessions: Vec<ReadSession>,
     /// View set the reader workload queries (fixed at build time).
-    reader_views: Vec<ViewId>,
+    read_views: Vec<ViewId>,
     /// Every cut the readers observed, for certification.
     read_observations: Vec<ReadObservation>,
     /// Pre-any-commit state-vector fingerprints.
@@ -609,9 +609,9 @@ impl SimDriver {
     /// when nothing has committed yet.
     fn new(groups: usize, readers: usize, warehouse: &Warehouse) -> Self {
         let base = warehouse.commit_count();
-        let reader_views: Vec<ViewId> = warehouse.view_ids().collect();
+        let read_views: Vec<ViewId> = warehouse.view_ids().collect();
         let cuts = VersionedCuts::new();
-        cuts.seed(base, warehouse.read(&reader_views));
+        cuts.seed(base, warehouse.read(&read_views));
         SimDriver {
             stamps: BTreeMap::new(),
             installs: VecDeque::new(),
@@ -628,7 +628,7 @@ impl SimDriver {
             checkpoint_every: 0,
             reader_sessions: (0..readers).map(|_| cuts.open_session()).collect(),
             cuts,
-            reader_views,
+            read_views,
             read_observations: Vec::new(),
             initial_fingerprints: if base == 0 {
                 warehouse.initial_fingerprints()
@@ -746,7 +746,6 @@ impl Machine<SimDriver> {
     /// Sample the VUT after group `g`'s engine consumed a REL or an AL.
     fn sample_vut(&mut self, g: usize) {
         let rows = self.parts.mps[g].mp.live_rows() as u64;
-        self.metrics.vut_occupancy.record(rows);
         self.driver.obs.vut_occupancy.record(rows);
     }
 
@@ -820,9 +819,7 @@ impl Machine<SimDriver> {
             }
         }
         if let Some(&rel_step) = d.release_steps[g].get(&seq) {
-            let delay = step.saturating_sub(rel_step);
-            self.metrics.commit_delay_steps.record(delay);
-            d.obs.commit_apply.record(delay);
+            d.obs.commit_apply.record(step.saturating_sub(rel_step));
         }
         // Group-activity span in virtual steps (the threaded runtime
         // records the same span in ns from its MP threads).
@@ -1030,8 +1027,8 @@ impl Sim {
     fn run_inner(&mut self) -> Result<(), SimError> {
         // Main phase: interleave injection and delivery.
         loop {
-            if self.m.metrics.steps >= self.config.max_steps {
-                return Err(SimError::StepLimit(self.config.max_steps));
+            if self.m.metrics.steps >= MAX_STEPS {
+                return Err(SimError::StepLimit(MAX_STEPS));
             }
             let nonempty = self.m.nonempty_channels();
             let open = self.m.driver.open_updates.len();
@@ -1098,8 +1095,8 @@ impl Sim {
         for _round in 0..10_000 {
             // Deliver everything currently in flight.
             loop {
-                if self.m.metrics.steps >= self.config.max_steps {
-                    return Err(SimError::StepLimit(self.config.max_steps));
+                if self.m.metrics.steps >= MAX_STEPS {
+                    return Err(SimError::StepLimit(MAX_STEPS));
                 }
                 let nonempty = self.m.nonempty_channels();
                 if nonempty.is_empty() {
@@ -1193,7 +1190,7 @@ impl Sim {
             low + self.rng.gen_range(0..=head.saturating_sub(low))
         };
         let out = s
-            .read_at(target, &d.reader_views)
+            .read_at(target, &d.read_views)
             .expect("target ≤ head and every chain was seeded at build");
         d.obs.note_read(out.staleness, out.chain_len, out.gc_lag);
         d.read_observations.push(out.observation);

@@ -48,7 +48,7 @@ use mvc_core::lock::AuditedMutex;
 use mvc_core::{CommitPolicy, CommitStats, MergeAlgorithm, MergeStats, TxnSeq, UpdateId, ViewId};
 use mvc_durability::{DurabilityConfig, FlushTicket, WalError, WalRecord, WalWriter};
 use mvc_readpath::{ReadObservation, ReadSession, VersionedCuts};
-use mvc_relational::{Relation, RelationName, Schema, ViewDef};
+use mvc_relational::{RelationName, Schema, ViewDef};
 use mvc_source::{SourceCluster, SourceId};
 use mvc_viewmgr::{
     answer_query, ActionListDelta, NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, VmEvent,
@@ -90,23 +90,14 @@ pub struct ThreadedConfig {
     /// §1.1 sequential strawman: wait for full quiescence between
     /// transactions.
     pub sequential: bool,
-    /// Spawn a concurrent reader sampling these views (the §1.1
-    /// customer-inquiry workload); every sample is a consistent
-    /// multi-view read taken under the warehouse lock while commits flow.
-    pub reader_views: Vec<ViewId>,
-    /// Pause between reader samples.
-    pub reader_interval: Duration,
-    /// Closed-loop MVCC reader workload: this many reader threads hammer
-    /// multi-view snapshot reads through `mvc_readpath` sessions during
-    /// maintenance — never touching the warehouse lock — and every
-    /// observed cut is retained for `Oracle::check_reads` certification.
+    /// Closed-loop MVCC reader workload (the §1.1 customer inquiry):
+    /// this many reader threads hammer multi-view snapshot reads through
+    /// `mvc_readpath` sessions during maintenance — never touching the
+    /// warehouse lock — and every observed cut is retained for
+    /// `Oracle::check_reads` certification.
     pub readers: usize,
     /// Think time between each MVCC reader's queries.
     pub reader_think_time: Duration,
-    /// Pause between queue-depth samples. Senders record depths only at
-    /// send time, so without the sampler the gauges never see idle-time
-    /// decay; `ZERO` disables the sampler thread.
-    pub depth_sample_interval: Duration,
     /// Write-ahead logging + crash injection. The records are written by
     /// the transitions every thread body calls ([`crate::transitions`]),
     /// through this runtime's sink: WAL errors never stop the pipeline
@@ -173,11 +164,8 @@ impl Default for ThreadedConfig {
             record_snapshots: false,
             drain_timeout: Duration::from_secs(30),
             sequential: false,
-            reader_views: Vec::new(),
-            reader_interval: Duration::from_micros(200),
             readers: 0,
             reader_think_time: Duration::from_micros(50),
-            depth_sample_interval: Duration::from_micros(500),
             durability: None,
             fault: None,
             groups: None,
@@ -192,9 +180,6 @@ pub struct WallClock {
     pub elapsed: Duration,
     /// Source transactions per second end-to-end.
     pub updates_per_sec: f64,
-    /// Samples taken by the concurrent reader (when configured): each is
-    /// one consistent multi-view read.
-    pub reader_samples: Vec<std::collections::BTreeMap<ViewId, Arc<mvc_relational::Relation>>>,
     /// In-flight message counter at the end of the drain (0 on a clean
     /// run — nonzero would mean quiescence detection is broken).
     pub in_flight_at_end: i64,
@@ -1013,8 +998,6 @@ struct Yield {
     merge_stats: Vec<MergeStats>,
     commit_stats: Vec<CommitStats>,
     integrator: Option<Box<Integrator>>,
-    /// The §1.1 inquiry reader's samples.
-    reader_samples: Vec<BTreeMap<ViewId, Arc<Relation>>>,
     /// Unsharded MVCC readers: certified directly against the global
     /// history.
     read_observations: Vec<ReadObservation>,
@@ -1038,7 +1021,6 @@ impl Yield {
         self.merge_stats.append(&mut y.merge_stats);
         self.commit_stats.append(&mut y.commit_stats);
         self.integrator = self.integrator.take().or(y.integrator);
-        self.reader_samples.append(&mut y.reader_samples);
         self.read_observations.append(&mut y.read_observations);
         let shards = self
             .shard_observations
@@ -1169,7 +1151,7 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
     // lock in the process, including other tests' fixtures).
     let lock_cycles: Vec<mvc_core::LockCycle> = mvc_core::lock::lock_cycles()
         .into_iter()
-        .filter(|c| c.within_prefixes(&["whips.", "readpath.", "warehouse.", "shard"]))
+        .filter(|c| c.within_prefixes(&["whips.", "readpath.", "shard"]))
         .collect();
 
     let integrator = joined.integrator.expect("integrator joined cleanly");
@@ -1218,7 +1200,6 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
         WallClock {
             elapsed,
             updates_per_sec,
-            reader_samples: joined.reader_samples,
             in_flight_at_end,
             queue_depths_at_end,
             hb_violations,
@@ -1376,16 +1357,10 @@ impl Crew<'_> {
         self.shards[self.topology.shard_of(group)].clone()
     }
 
-    /// The §1.1 inquiry reader, the MVCC reader fleet, and the
-    /// queue-depth sampler — everything that runs until `stop`.
+    /// The MVCC reader fleet and the queue-depth sampler — everything
+    /// that runs until `stop`.
     fn spawn_readers(&self, workers: &mut Vec<Worker>) {
         let config = self.config;
-        if !config.reader_views.is_empty() {
-            let (shards, stop) = (self.shards.to_vec(), self.stop.clone());
-            let (views, interval) = (config.reader_views.clone(), config.reader_interval);
-            let run = move || Ok(inquiry_reader(&shards, &views, interval, &stop));
-            workers.push(("reader", std::thread::spawn(run)));
-        }
         for k in 0..config.readers {
             let pace = ReaderPace {
                 k,
@@ -1415,12 +1390,9 @@ impl Crew<'_> {
             };
             workers.push(("mvcc reader", std::thread::spawn(move || Ok(run()))));
         }
-        if !config.depth_sample_interval.is_zero() {
-            let (net, stop) = (self.net.clone(), self.stop.clone());
-            let interval = config.depth_sample_interval;
-            let run = move || Ok(depth_sampler(&net, interval, &stop));
-            workers.push(("sampler", std::thread::spawn(run)));
-        }
+        let (net, stop) = (self.net.clone(), self.stop.clone());
+        let run = move || Ok(depth_sampler(&net, &stop));
+        workers.push(("sampler", std::thread::spawn(run)));
     }
 
     /// Inject the workload at the sources, then drain to quiescence.
@@ -1956,40 +1928,6 @@ fn committer_thread(
     Ok(Yield::of(obs))
 }
 
-/// §1.1 customer inquiry: sample `views` under the store locks while
-/// commits flow. One shard lock at a time, never nested: shards own
-/// disjoint view sets, so each sub-read is a consistent cut of its shard
-/// and the union is well defined. Unsharded the single store owns every
-/// view — the classic one-lock sample.
-fn inquiry_reader(
-    shards: &[Arc<Shard>],
-    views: &[ViewId],
-    interval: Duration,
-    stop: &AtomicBool,
-) -> Yield {
-    let mut samples = Vec::new();
-    // SeqCst: plain stop flag; strongest order costs nothing here.
-    while !stop.load(Ordering::SeqCst) {
-        let mut sample = BTreeMap::new();
-        for shard in shards {
-            let wanted: Vec<ViewId> = views
-                .iter()
-                .copied()
-                .filter(|v| shard.views.contains(v))
-                .collect();
-            if !wanted.is_empty() {
-                sample.extend(shard.store.lock().warehouse.read(&wanted));
-            }
-        }
-        samples.push(sample);
-        std::thread::sleep(interval);
-    }
-    Yield {
-        reader_samples: samples,
-        ..Yield::default()
-    }
-}
-
 /// What every MVCC reader thread of the closed-loop fleet shares: its
 /// index, think time, stop flag and (first reader only) injected fault.
 struct ReaderPace {
@@ -2113,11 +2051,14 @@ fn frontier_reader(
     }
 }
 
+/// Pause between queue-depth samples.
+const DEPTH_SAMPLE_INTERVAL: Duration = Duration::from_micros(500);
+
 /// Queue-depth sampler. Senders gauge a channel only at send time, so
 /// between bursts the recorded depths never decay; this thread samples
 /// every channel on a fixed interval so the gauges also see idle-time
 /// drain-down.
-fn depth_sampler(net: &Net, interval: Duration, stop: &AtomicBool) -> Yield {
+fn depth_sampler(net: &Net, stop: &AtomicBool) -> Yield {
     let mut obs = PipelineObs::new("ns");
     // SeqCst: plain stop flag; strongest order costs nothing here.
     while !stop.load(Ordering::SeqCst) {
@@ -2132,7 +2073,7 @@ fn depth_sampler(net: &Net, interval: Duration, stop: &AtomicBool) -> Yield {
         for tx in &net.mp_txs {
             obs.note_depth("int_to_mp", tx.len() as u64);
         }
-        std::thread::sleep(interval);
+        std::thread::sleep(DEPTH_SAMPLE_INTERVAL);
     }
     Yield::of(obs)
 }
@@ -2559,7 +2500,6 @@ mod tests {
     fn lock_audit_clean_threaded_run_has_no_cycles() {
         let config = ThreadedConfig {
             readers: 2,
-            reader_views: vec![ViewId(1)],
             reader_think_time: Duration::from_micros(20),
             record_snapshots: true,
             ..ThreadedConfig::default()

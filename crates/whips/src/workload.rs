@@ -15,7 +15,6 @@ use mvc_source::{SourceId, WriteOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Workload shape parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -299,25 +298,11 @@ pub fn relations_needed(suite: ViewSuite) -> usize {
     }
 }
 
-/// Per-relation live-set sizes after a generated workload (diagnostics).
-pub fn final_population(w: &GeneratedWorkload) -> BTreeMap<String, i64> {
-    let mut pop: BTreeMap<String, i64> = BTreeMap::new();
-    for t in &w.txns {
-        for wr in &t.writes {
-            let e = pop.entry(wr.relation.as_str().to_owned()).or_insert(0);
-            match wr.op {
-                mvc_relational::TupleOp::Insert(_) => *e += 1,
-                mvc_relational::TupleOp::Delete(_) => *e -= 1,
-            }
-        }
-    }
-    pop
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::SimConfig;
+    use std::collections::BTreeMap;
 
     #[test]
     fn generation_is_deterministic() {

@@ -19,18 +19,14 @@ fn wal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mvc-crash-{}-{tag}.wal", std::process::id()))
 }
 
-/// Remove both WAL layouts (plain file and `.seg{k}` chain).
+/// Remove the log's whole segment chain (`path` and `path.seg{k}`).
 fn cleanup(path: &Path) {
     let _ = std::fs::remove_file(path);
-    for k in 0..64 {
-        let _ = std::fs::remove_file(seg_file(path, k));
+    for k in 1..64 {
+        let mut seg = path.as_os_str().to_owned();
+        seg.push(format!(".seg{k}"));
+        let _ = std::fs::remove_file(seg);
     }
-}
-
-fn seg_file(path: &Path, k: u64) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(format!(".seg{k}"));
-    PathBuf::from(s)
 }
 
 fn spec(seed: u64) -> WorkloadSpec {
@@ -100,8 +96,8 @@ fn crash_sweep_kinds(
     };
 
     // Baseline durable run without a fault: sizes the log and must be
-    // oracle-clean itself. `open_log` handles both layouts, so the sweep
-    // also covers rotated (and possibly compacted) segment chains; kill
+    // oracle-clean itself. `open_log` stitches the segment chain, so the
+    // sweep also covers rotated (and possibly compacted) logs; kill
     // points count *appended* records, so they stay comparable even when
     // compaction has truncated the on-disk prefix.
     let b = builder_kinds(config.clone(), kinds).workload(w.txns.clone());
@@ -162,13 +158,51 @@ fn pa_crash_recover_finish_certifies() {
 }
 
 /// With periodic checkpoints, recovery restores the newest checkpoint and
-/// replays only the log tail — same certification bar.
+/// replays only the log tail — same certification bar, for the SPA engine
+/// and for a PA engine restored from a checkpoint.
 #[test]
 fn checkpointed_recovery_replays_only_the_tail() {
     crash_sweep(MergeAlgorithm::Spa, "ckpt", |d| d.with_checkpoint_every(2));
+    crash_sweep(MergeAlgorithm::Pa, "ckpt-pa", |d| {
+        d.with_checkpoint_every(3)
+    });
 }
 
-/// Rotation without compaction (no checkpoints): the log is a `.seg{k}`
+/// Without rotation a checkpoint has no closed segment to unlink, so it
+/// forces no flush of its own: the log issues one fsync per full
+/// `fsync_every` window plus the final one, and nothing else.
+#[test]
+fn unrotated_checkpoints_add_no_fsyncs() {
+    let w = generate(&spec(11));
+    let path = wal_path("fsyncs");
+    let config = SimConfig {
+        seed: 3,
+        algorithm: Some(MergeAlgorithm::Spa),
+        durability: Some(
+            DurabilityConfig::new(&path)
+                .with_fsync_every(32)
+                .with_checkpoint_every(2),
+        ),
+        ..SimConfig::default()
+    };
+    let report = match builder(config).workload(w.txns).run_durable().unwrap() {
+        DurableOutcome::Completed(r) => r,
+        DurableOutcome::Crashed { .. } => unreachable!("no fault configured"),
+    };
+    let records = WalReader::open_log(&path).unwrap().records;
+    assert!(
+        records
+            .iter()
+            .any(|r| matches!(r, WalRecord::Checkpoint(_))),
+        "the run wrote checkpoints"
+    );
+    // 225 records, 12 of them checkpoints.
+    assert_eq!(report.metrics.wal_fsyncs, 8);
+    assert_eq!((records.len() as u64).div_ceil(32), 8);
+    cleanup(&path);
+}
+
+/// Rotation without compaction (no checkpoints): the log is a segment
 /// chain, records straddle segment boundaries, and recovery stitches the
 /// chain back into one absolute-indexed stream.
 #[test]
@@ -280,10 +314,7 @@ fn compaction_truncates_prefix_but_never_past_the_anchor() {
 
     let log = WalReader::open_log(&path).unwrap();
     assert!(log.base > 0, "checkpoints compacted away a prefix");
-    assert!(
-        !seg_file(&path, 0).exists(),
-        "segment 0 was unlinked by compaction"
-    );
+    assert!(!path.exists(), "segment 0 was unlinked by compaction");
     let ck = log
         .records
         .iter()
@@ -373,10 +404,7 @@ fn replay_views_pin_the_log_to_genesis() {
     };
     let log = WalReader::open_log(&path).unwrap();
     assert_eq!(log.base, 0, "compaction stays off for replay views");
-    assert!(
-        seg_file(&path, 0).exists(),
-        "segment 0 survives for delivery replay"
-    );
+    assert!(path.exists(), "segment 0 survives for delivery replay");
     let replayed = recover_and_run(config, report.cluster.clone(), &registry, Vec::new()).unwrap();
     certify(&replayed, w.txns.len());
     cleanup(&path);
@@ -501,7 +529,7 @@ fn threaded_wal_prefix_recovers_on_the_simulator() {
     let (report, _wall) = b.workload(w.txns.clone()).run().unwrap();
     Oracle::new(&report).unwrap().assert_ok();
 
-    let logged = WalReader::open(&path).unwrap().read_all().unwrap().len();
+    let logged = WalReader::open_log(&path).unwrap().records.len();
     assert_eq!(logged, 24, "Drop fault freezes the log at the crash point");
 
     // Every transaction already reached the sources, so the remainder is
@@ -544,10 +572,10 @@ fn corrupted_record_is_a_typed_recovery_error() {
         DurableOutcome::Crashed { .. } => unreachable!("no fault configured"),
     };
 
-    // Flip one byte in the first frame's payload: 8 (magic) + 12 (frame
-    // header) + 2 lands safely inside the first record.
+    // Flip one byte in the first frame's payload: 16 (segment header) +
+    // 12 (frame header) + 2 lands safely inside the first record.
     let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8 + 12 + 2] ^= 0xff;
+    bytes[16 + 12 + 2] ^= 0xff;
     std::fs::write(&path, &bytes).unwrap();
 
     let Err(err) = recover_and_run(config, report.cluster.clone(), &registry, Vec::new()) else {
@@ -556,7 +584,7 @@ fn corrupted_record_is_a_typed_recovery_error() {
     match err {
         RecoveryError::Wal(WalError::CorruptRecord { index, offset }) => {
             assert_eq!(index, 0, "corruption is in the first record");
-            assert_eq!(offset, 8, "frame offset points at the corrupt frame");
+            assert_eq!(offset, 16, "frame offset points at the corrupt frame");
         }
         e => panic!("expected a typed CorruptRecord error, got: {e}"),
     }
@@ -601,7 +629,7 @@ fn threaded_checkpoint_round_recovers_from_a_drop_fault() {
     let (report, _wall) = b.workload(w.txns.clone()).run().unwrap();
     Oracle::new(&report).unwrap().assert_ok();
 
-    let records = WalReader::open(&path).unwrap().read_all().unwrap();
+    let records = WalReader::open_log(&path).unwrap().records;
     assert!(
         records
             .iter()
@@ -650,7 +678,7 @@ fn threaded_strobe_deliveries_replay_from_the_log() {
     let (report, _wall) = b.workload(w.txns.clone()).run().unwrap();
     Oracle::new(&report).unwrap().assert_ok();
 
-    let records = WalReader::open(&path).unwrap().read_all().unwrap();
+    let records = WalReader::open_log(&path).unwrap().records;
     assert!(
         records
             .iter()
@@ -697,7 +725,7 @@ fn threaded_group_commit_batches_fsyncs_and_stays_recoverable() {
     let (report, _wall) = b.workload(w.txns.clone()).run().unwrap();
     Oracle::new(&report).unwrap().assert_ok();
 
-    let records = WalReader::open(&path).unwrap().read_all().unwrap().len() as u64;
+    let records = WalReader::open_log(&path).unwrap().records.len() as u64;
     assert!(report.metrics.wal_fsyncs > 0, "the flush leader fsynced");
     assert!(
         report.metrics.wal_fsyncs < records,
