@@ -47,11 +47,15 @@ enum Change {
 /// forced odd so that `n · h(t)` (mod 2^64) is injective in `n` — two
 /// multiplicities of one tuple never fingerprint alike.
 ///
-/// Out of line on purpose: inlined into `change`, and from there into
-/// every `insert_n` call site, the hash loop cost more than it computes —
-/// the Strobe manager's per-emit rebuild (`viewmgr.handle` on the
-/// benchmark's `pa_queryback`) ran 1.31 ms against 1.15 ms with the call
-/// kept (1.11 ms before relations carried a fingerprint at all).
+/// Out of line on purpose, by a small margin. The 14 % this note used to
+/// cite (the Strobe manager re-inserting its whole mirror per emit) went
+/// away with that rebuild; re-tested since, 6 alternating pairs of the
+/// benchmark with / without the attribute: `spa_wide` `visible_mean_ms`
+/// 0.1170 / 0.1196 and `pa_queryback` `updates_per_s` 18 543 / 18 145
+/// (each better with it in 5 of 6 pairs), `pa_queryback`
+/// `visible_mean_ms` 0.124 / 0.117 (inside the run-to-run spread).
+/// Nothing to gain from inlining it, so every workload keeps the code it
+/// was measured with.
 #[inline(never)]
 fn tuple_hash(t: &Tuple) -> u64 {
     let mut h = FoldHasher(0x243f_6a88_85a3_08d3);

@@ -22,6 +22,7 @@
 //! self-joins, no aggregates, single-relation updates, set semantics —
 //! the setting of the original ECA paper.
 
+use crate::join_mirror::{fetch_sources, occurrence_schema, subtract_segment, JoinMirror};
 use crate::protocol::{
     NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, ViewManager, VmError, VmEvent, VmOutput,
 };
@@ -68,7 +69,7 @@ pub struct EcaVm {
     id: ViewId,
     def: ViewDef,
     /// Join-level contents at the state of the last *emitted* AL.
-    mirror: Relation,
+    mirror: JoinMirror,
     /// Updates received, in order, awaiting emission.
     queue: VecDeque<Pending>,
     /// Receipt log for compensation (pruned below the emission frontier).
@@ -98,7 +99,7 @@ impl EcaVm {
                 "ECA does not support self-joins",
             ));
         }
-        let mirror = Relation::new(def.core.join_schema.clone());
+        let mirror = JoinMirror::new(&def.core);
         Ok(EcaVm {
             id,
             def,
@@ -127,29 +128,14 @@ impl EcaVm {
     fn join_pair(&self, rel: &RelationName, t: &Tuple, other: &Tuple) -> Relation {
         let k = self.occurrence_of(rel);
         let mut rels = vec![
-            Relation::new(occurrence_schema(&self.def, 0)),
-            Relation::new(occurrence_schema(&self.def, 1)),
+            Relation::new(occurrence_schema(&self.def.core, 0)),
+            Relation::new(occurrence_schema(&self.def.core, 1)),
         ];
         rels[k].insert(t.clone()).expect("tuple fits occurrence");
         rels[1 - k]
             .insert(other.clone())
             .expect("tuple fits occurrence");
         eval_join_with(&self.def.core, &rels).expect("local pair join")
-    }
-
-    fn subtract_segment(&self, rows: &mut Relation, rel: &RelationName, t: &Tuple) {
-        let k = self.occurrence_of(rel);
-        let lo = self.def.core.offsets[k];
-        let hi = lo + t.arity();
-        let matching: Vec<Tuple> = rows
-            .iter_counted()
-            .filter(|(jt, _)| jt.values()[lo..hi] == *t.values())
-            .map(|(jt, _)| jt.clone())
-            .collect();
-        for jt in matching {
-            let n = rows.multiplicity(&jt);
-            rows.delete_n(&jt, n);
-        }
     }
 
     /// Emit every head-of-queue update whose answers are all in.
@@ -169,18 +155,8 @@ impl EcaVm {
                 match op {
                     PendingOp::Delete { relation, tuple } => {
                         // mirror ⊕ delta is exactly the pre-op state
-                        let mut effective = self.mirror.clone();
-                        delta
-                            .apply_to(&mut effective)
-                            .map_err(mvc_relational::EvalError::from)?;
                         let k = self.occurrence_of(relation);
-                        let lo = self.def.core.offsets[k];
-                        let hi = lo + tuple.arity();
-                        for (jt, n) in effective.iter_counted() {
-                            if jt.values()[lo..hi] == *tuple.values() {
-                                delta.add(jt.clone(), -(n as i64));
-                            }
-                        }
+                        self.mirror.delete_segment(k, tuple, &mut delta);
                     }
                     PendingOp::Insert {
                         relation,
@@ -226,7 +202,11 @@ impl EcaVm {
                                 .into_iter()
                                 .find(|r| r != relation)
                                 .expect("two relations");
-                            self.subtract_segment(&mut rows, &other_rel, t);
+                            subtract_segment(
+                                &mut rows,
+                                self.mirror.offset(self.occurrence_of(&other_rel)),
+                                t,
+                            );
                             // …and re-derive from the reference state.
                             if *was_present_at_ref {
                                 let back = self.join_pair(relation, tuple, t);
@@ -242,8 +222,8 @@ impl EcaVm {
                     }
                 }
             }
-            delta
-                .apply_to(&mut self.mirror)
+            self.mirror
+                .apply(&delta)
                 .map_err(mvc_relational::EvalError::from)?;
             let view_delta = project_delta(&self.def.core, &delta)?;
             self.emitted += 1;
@@ -289,7 +269,7 @@ impl ViewManager for EcaVm {
                                 let token = QueryToken(self.next_token);
                                 self.next_token += 1;
                                 let k = self.occurrence_of(&change.relation);
-                                let mut rows = Relation::new(occurrence_schema(&self.def, k));
+                                let mut rows = Relation::new(occurrence_schema(&self.def.core, k));
                                 rows.insert(t.clone())
                                     .map_err(mvc_relational::EvalError::from)?;
                                 out.push(VmOutput::Query {
@@ -363,38 +343,14 @@ impl ViewManager for EcaVm {
     }
 
     fn initialize(&mut self, provider: &dyn mvc_relational::StateProvider) -> Result<(), VmError> {
-        let rels: Vec<std::borrow::Cow<'_, Relation>> = self
-            .def
-            .core
-            .sources
-            .iter()
-            .map(|n| {
-                provider
-                    .fetch(n)
-                    .ok_or_else(|| mvc_relational::EvalError::MissingRelation(n.clone()))
-            })
-            .collect::<Result<_, _>>()
-            .map_err(VmError::Eval)?;
-        self.mirror = eval_join_with(&self.def.core, &rels)?;
+        let sources = fetch_sources(&self.def.core, provider)?;
+        self.mirror.load(&self.def.core, &sources)?;
         Ok(())
     }
 
     fn is_idle(&self) -> bool {
         self.queue.is_empty()
     }
-}
-
-fn occurrence_schema(def: &ViewDef, k: usize) -> mvc_relational::Schema {
-    let lo = def.core.offsets[k];
-    let hi = if k + 1 < def.core.offsets.len() {
-        def.core.offsets[k + 1]
-    } else {
-        def.core.join_schema.arity()
-    };
-    def.core
-        .join_schema
-        .project(&(lo..hi).collect::<Vec<_>>())
-        .expect("occurrence range valid")
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@ pub mod complete;
 pub mod complete_n;
 pub mod convergent;
 pub mod eca;
+mod join_mirror;
 pub mod materialized;
 pub mod periodic;
 pub mod protocol;

@@ -13,6 +13,7 @@
 //! contribute to any derivation; the delta rule is unaffected (such
 //! tuples pass no occurrence-local selection, so they join into nothing).
 
+use crate::join_mirror::occurrence_schema;
 use crate::materialized::MaterializedView;
 use crate::protocol::{NumberedUpdate, ViewManager, VmError, VmEvent, VmOutput};
 use mvc_core::{ActionList, ConsistencyLevel, ViewId};
@@ -34,7 +35,7 @@ impl SelfMaintVm {
         let mut aux = Database::new();
         for (k, rel) in def.core.sources.iter().enumerate() {
             if aux.relation(rel).is_none() {
-                aux.insert_relation(rel.clone(), Relation::new(occurrence_schema(&def, k)));
+                aux.insert_relation(rel.clone(), Relation::new(occurrence_schema(&def.core, k)));
             }
         }
         SelfMaintVm {
@@ -122,21 +123,6 @@ impl SelfMaintVm {
         let view_delta = self.mat.apply_core_delta(&core_delta)?;
         Ok(ActionList::single(self.id, u.id, view_delta))
     }
-}
-
-/// Schema of one source occurrence (unqualified projection of the join
-/// schema range).
-fn occurrence_schema(def: &ViewDef, k: usize) -> mvc_relational::Schema {
-    let lo = def.core.offsets[k];
-    let hi = if k + 1 < def.core.offsets.len() {
-        def.core.offsets[k + 1]
-    } else {
-        def.core.join_schema.arity()
-    };
-    def.core
-        .join_schema
-        .project(&(lo..hi).collect::<Vec<_>>())
-        .expect("occurrence range valid")
 }
 
 #[cfg(test)]

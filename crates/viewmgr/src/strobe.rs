@@ -18,24 +18,42 @@
 //!   query set), covering the whole intertwined batch — which is exactly
 //!   the batched `AL^x_j` shape the Painting Algorithm coordinates.
 //!
-//! Restrictions (documented, enforced at construction): SPJ views only
-//! (no aggregates — use the complete or periodic manager for those), no
-//! self-joins, and set semantics at the sources (single-copy tuples), the
-//! standard Strobe assumptions.
+//! Every `handle` costs what the batch it works on costs, never what the
+//! mirror or the unanswered query set hold:
+//!
+//! * the mirror is a `JoinMirror` (`join_mirror.rs`): a base-tuple delete
+//!   finds its join tuples through the per-occurrence segment index plus
+//!   a scan of `pending`;
+//! * compensations go once into one log per manager; a query remembers the
+//!   log length at its issue and reads the suffix from there — the same
+//!   entries in the same order as a private copy per query. The log is
+//!   dropped whenever the UQS empties;
+//! * emit walks `pending` once. **Invariant:** every mirror multiplicity
+//!   is 1 (sources are sets, so a join tuple has one derivation), hence
+//!   per touched tuple `new = min(max(old + net, 0), 1)` and the emitted
+//!   join delta is `new − old`; nothing else in the mirror can change.
+//!
+//! Restrictions: SPJ views only (no aggregates — use the complete or
+//! periodic manager for those) and no self-joins, refused at construction;
+//! set semantics at the sources (single-copy tuples), refused at
+//! [`initialize`](ViewManager::initialize) for the load state and assumed
+//! of the update stream — the standard Strobe assumptions.
 
+use crate::join_mirror::{fetch_sources, subtract_segment, JoinMirror};
 use crate::protocol::{
     QueryAnswer, QueryRequest, QueryToken, ViewManager, VmError, VmEvent, VmOutput,
 };
 use mvc_core::{ActionList, ConsistencyLevel, UpdateId, ViewId};
-use mvc_relational::{project_delta, Delta, Relation, RelationName, Tuple, ViewDef};
+use mvc_relational::{project_delta, Delta, EvalError, Relation, RelationName, Tuple, ViewDef};
 use mvc_source::GlobalSeq;
 use std::collections::BTreeMap;
 
 /// A compensation entry: an update-caused change that must be subtracted
-/// from an outstanding query's answer.
+/// from the answers of the queries outstanding when it arrived.
 #[derive(Debug, Clone)]
 struct Compensation {
-    relation: RelationName,
+    /// Source occurrence the changed relation fills.
+    occurrence: usize,
     tuple: Tuple,
     seq: GlobalSeq,
     is_delete: bool,
@@ -47,7 +65,9 @@ struct PendingQuery {
     /// Commit seq of the update this query serves — the state the answer
     /// is *supposed* to reflect.
     as_if: GlobalSeq,
-    compensations: Vec<Compensation>,
+    /// Length of the compensation log when the query was issued: its
+    /// compensations are `log[log_from..]`.
+    log_from: usize,
 }
 
 /// Strobe view manager.
@@ -56,7 +76,7 @@ pub struct StrobeVm {
     id: ViewId,
     def: ViewDef,
     /// Join-level contents as of the last emitted AL.
-    mirror: Relation,
+    mirror: JoinMirror,
     /// Join-level delta accumulated for the current batch.
     pending: Delta,
     /// Update ids covered by the current batch.
@@ -64,6 +84,9 @@ pub struct StrobeVm {
     batch_last: UpdateId,
     /// Unanswered query set (UQS).
     uqs: BTreeMap<QueryToken, PendingQuery>,
+    /// Changes received while the UQS was non-empty, in arrival order;
+    /// empty whenever the UQS is.
+    log: Vec<Compensation>,
     next_token: u64,
     /// Batches emitted (stats).
     emitted: u64,
@@ -84,7 +107,7 @@ impl StrobeVm {
                 "Strobe does not support self-joins (a relation occurs twice)",
             ));
         }
-        let mirror = Relation::new(def.core.join_schema.clone());
+        let mirror = JoinMirror::new(&def.core);
         Ok(StrobeVm {
             id,
             def,
@@ -93,15 +116,16 @@ impl StrobeVm {
             batch_first: None,
             batch_last: UpdateId::ZERO,
             uqs: BTreeMap::new(),
+            log: Vec::new(),
             next_token: 1,
             emitted: 0,
         })
     }
 
     /// Join-level view of the last emitted state plus the pending batch
-    /// (diagnostics/tests).
+    /// (diagnostics/tests; copies the mirror).
     pub fn effective_join(&self) -> Relation {
-        let mut r = self.mirror.clone();
+        let mut r = self.mirror.rows().clone();
         self.pending.apply_to(&mut r).expect("pending applies");
         r
     }
@@ -116,37 +140,16 @@ impl StrobeVm {
         self.def.core.sources.iter().position(|s| s == rel)
     }
 
-    /// Remove from `pending` every join tuple whose occurrence segment for
-    /// `rel` equals `t`, clamped by what mirror ⊕ pending actually holds.
-    fn delete_segment_locally(&mut self, rel: &RelationName, t: &Tuple) {
-        let Some(k) = self.occurrence_of(rel) else {
-            return;
-        };
-        let lo = self.def.core.offsets[k];
-        let hi = lo + t.arity();
-        let effective = self.effective_join();
-        for (jt, n) in effective.iter_counted() {
-            if jt.values()[lo..hi] == *t.values() {
-                self.pending.add(jt.clone(), -(n as i64));
-            }
-        }
-    }
-
-    /// Subtract segment matches from an answered relation.
-    fn subtract_segment(&self, rows: &mut Relation, rel: &RelationName, t: &Tuple) {
-        let Some(k) = self.occurrence_of(rel) else {
-            return;
-        };
-        let lo = self.def.core.offsets[k];
-        let hi = lo + t.arity();
-        let matching: Vec<Tuple> = rows
-            .iter_counted()
-            .filter(|(jt, _)| jt.values()[lo..hi] == *t.values())
-            .map(|(jt, _)| jt.clone())
-            .collect();
-        for jt in matching {
-            let n = rows.multiplicity(&jt);
-            rows.delete_n(&jt, n);
+    /// Register a change against every outstanding query: one log entry,
+    /// which each of them reaches through its `log_from`.
+    fn compensate(&mut self, occurrence: usize, tuple: &Tuple, seq: GlobalSeq, is_delete: bool) {
+        if !self.uqs.is_empty() {
+            self.log.push(Compensation {
+                occurrence,
+                tuple: tuple.clone(),
+                seq,
+                is_delete,
+            });
         }
     }
 
@@ -163,20 +166,14 @@ impl StrobeVm {
         // by this manager double counts a join tuple; since base relations
         // are sets, a join-level multiplicity above 1 can only be such a
         // double count, so the target state clamps every multiplicity to 1
-        // (and the monus in `apply_to` already clamps at 0).
-        let mut target = self.mirror.clone();
-        self.pending
-            .apply_to(&mut target)
-            .map_err(mvc_relational::EvalError::from)?;
-        let mut clamped = Relation::new(target.schema().clone());
-        for (t, _) in target.iter_counted() {
-            clamped
-                .insert(t.clone())
-                .map_err(mvc_relational::EvalError::from)?;
+        // (and deletes clamp at 0). Only tuples `pending` names can move.
+        let mut join_delta = Delta::new();
+        for (t, net) in self.pending.iter() {
+            let old = self.mirror.rows().multiplicity(t) as i64;
+            join_delta.add(t.clone(), (old + net).clamp(0, 1) - old);
         }
-        let join_delta = mvc_relational::diff(&self.mirror, &clamped);
         let view_delta = project_delta(&self.def.core, &join_delta)?;
-        self.mirror = clamped;
+        self.mirror.apply(&join_delta).map_err(EvalError::from)?;
         self.pending = Delta::new();
         self.emitted += 1;
         out.push(VmOutput::Action(ActionList::batch(
@@ -207,37 +204,27 @@ impl ViewManager for StrobeVm {
                     self.batch_first = Some(u.id);
                 }
                 self.batch_last = u.id;
-                let base = self.def.base_relations();
                 let seq = u.seq();
                 for change in &u.update.changes {
-                    if !base.contains(&change.relation) {
+                    let Some(k) = self.occurrence_of(&change.relation) else {
                         continue;
-                    }
+                    };
                     for (t, n) in change.delta.iter() {
+                        // Either way: first a compensation against every
+                        // query already outstanding.
+                        self.compensate(k, t, seq, n < 0);
                         if n > 0 {
-                            // Insert: register as compensation against every
-                            // outstanding query, then query the sources.
-                            for pq in self.uqs.values_mut() {
-                                pq.compensations.push(Compensation {
-                                    relation: change.relation.clone(),
-                                    tuple: t.clone(),
-                                    seq,
-                                    is_delete: false,
-                                });
-                            }
-                            let k = self
-                                .occurrence_of(&change.relation)
-                                .expect("relation in base set");
-                            let mut rows = Relation::new(occurrence_schema(&self.def, k));
+                            // Insert: query the sources.
+                            let mut rows = self.mirror.occurrence_relation(k);
                             rows.insert_n(t.clone(), n as u64)
-                                .map_err(mvc_relational::EvalError::from)?;
+                                .map_err(EvalError::from)?;
                             let token = QueryToken(self.next_token);
                             self.next_token += 1;
                             self.uqs.insert(
                                 token,
                                 PendingQuery {
                                     as_if: seq,
-                                    compensations: Vec::new(),
+                                    log_from: self.log.len(),
                                 },
                             );
                             out.push(VmOutput::Query {
@@ -249,17 +236,8 @@ impl ViewManager for StrobeVm {
                                 },
                             });
                         } else {
-                            // Delete: local segment removal + compensation
-                            // registration against outstanding queries.
-                            for pq in self.uqs.values_mut() {
-                                pq.compensations.push(Compensation {
-                                    relation: change.relation.clone(),
-                                    tuple: t.clone(),
-                                    seq,
-                                    is_delete: true,
-                                });
-                            }
-                            self.delete_segment_locally(&change.relation, t);
+                            // Delete: local segment removal.
+                            self.mirror.delete_segment(k, t, &mut self.pending);
                         }
                     }
                 }
@@ -272,13 +250,20 @@ impl ViewManager for StrobeVm {
                 let QueryAnswer::Rows(mut rows, answered_at) = answer else {
                     return Err(VmError::AnswerKindMismatch(token));
                 };
-                for comp in &pq.compensations {
+                for comp in &self.log[pq.log_from..] {
                     // Later inserts are double counted only when the answer
                     // actually saw them; deletes are subtracted always —
                     // their joins must not survive the batch.
                     if comp.is_delete || (comp.seq > pq.as_if && comp.seq <= answered_at) {
-                        self.subtract_segment(&mut rows, &comp.relation, &comp.tuple);
+                        subtract_segment(
+                            &mut rows,
+                            self.mirror.offset(comp.occurrence),
+                            &comp.tuple,
+                        );
                     }
+                }
+                if self.uqs.is_empty() {
+                    self.log.clear();
                 }
                 for (t, n) in rows.iter_counted() {
                     self.pending.add(t.clone(), n as i64);
@@ -294,19 +279,14 @@ impl ViewManager for StrobeVm {
 
     fn initialize(&mut self, provider: &dyn mvc_relational::StateProvider) -> Result<(), VmError> {
         // join-level mirror = pre-projection contents at the load state
-        let rels: Vec<std::borrow::Cow<'_, mvc_relational::Relation>> = self
-            .def
-            .core
-            .sources
-            .iter()
-            .map(|n| {
-                provider
-                    .fetch(n)
-                    .ok_or_else(|| mvc_relational::EvalError::MissingRelation(n.clone()))
-            })
-            .collect::<Result<_, _>>()
-            .map_err(VmError::Eval)?;
-        self.mirror = mvc_relational::eval_join_with(&self.def.core, &rels)?;
+        let sources = fetch_sources(&self.def.core, provider)?;
+        if sources.iter().any(|r| r.len() != r.distinct_len() as u64) {
+            return Err(VmError::UnsupportedView(
+                self.id,
+                "Strobe requires set semantics at the sources (a base tuple is duplicated in the load state)",
+            ));
+        }
+        self.mirror.load(&self.def.core, &sources)?;
         Ok(())
     }
 
@@ -315,23 +295,10 @@ impl ViewManager for StrobeVm {
     }
 }
 
-/// Schema of one source occurrence in a view (by catalog position range).
-fn occurrence_schema(def: &ViewDef, k: usize) -> mvc_relational::Schema {
-    let lo = def.core.offsets[k];
-    let hi = if k + 1 < def.core.offsets.len() {
-        def.core.offsets[k + 1]
-    } else {
-        def.core.join_schema.arity()
-    };
-    def.core
-        .join_schema
-        .project(&(lo..hi).collect::<Vec<_>>())
-        .expect("occurrence range valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join_mirror::occurrence_schema;
     use crate::protocol::NumberedUpdate;
     use mvc_relational::{tuple, Schema};
     use mvc_source::{SourceCluster, SourceId, SourceUpdate, WriteOp};
@@ -586,5 +553,336 @@ mod tests {
         let outs = vm.handle(VmEvent::Flush).unwrap();
         assert!(outs.is_empty(), "cannot emit with UQS non-empty");
         assert!(!vm.is_idle());
+    }
+
+    /// The load state must be a set: a duplicated base tuple would give
+    /// the mirror a multiplicity of 2, which the first emit — whatever its
+    /// batch — would "repair" with a `−1` the sources never made.
+    #[test]
+    fn initialize_refuses_a_duplicated_base_tuple() {
+        let mut c = cluster();
+        for _ in 0..2 {
+            c.execute(SourceId(0), vec![WriteOp::insert("R", tuple![1, 2])])
+                .unwrap();
+        }
+        c.execute(SourceId(1), vec![WriteOp::insert("S", tuple![2, 3])])
+            .unwrap();
+        let mut vm = StrobeVm::new(ViewId(1), view(&c)).unwrap();
+        let err = vm.initialize(&c.as_of(c.latest_seq())).unwrap_err();
+        assert!(
+            matches!(err, VmError::UnsupportedView(ViewId(1), why) if why.contains("set semantics")),
+            "{err}"
+        );
+        assert!(vm.effective_join().is_empty(), "nothing loaded");
+
+        // One copy fewer and the same view loads, indexed.
+        c.execute(SourceId(0), vec![WriteOp::delete("R", tuple![1, 2])])
+            .unwrap();
+        vm.initialize(&c.as_of(c.latest_seq())).unwrap();
+        assert_eq!(vm.effective_join().to_tuples(), vec![tuple![1, 2, 2, 3]]);
+        assert!(vm.mirror.index_agrees());
+    }
+
+    /// A query reads the compensation log from the offset it was issued
+    /// at: a delete registered *before* it must not touch its answer, even
+    /// though an older query still needs that entry.
+    #[test]
+    fn query_sees_exactly_the_compensations_after_it() {
+        let mut c = cluster();
+        c.execute(SourceId(0), vec![WriteOp::insert("R", tuple![1, 2])])
+            .unwrap();
+        c.execute(SourceId(1), vec![WriteOp::insert("S", tuple![2, 3])])
+            .unwrap();
+        let mut vm = StrobeVm::new(ViewId(1), view(&c)).unwrap();
+        vm.initialize(&c.as_of(c.latest_seq())).unwrap();
+        let deliver = |vm: &mut StrobeVm, c: &mut SourceCluster, s: u32, w: WriteOp| {
+            let u = c.execute(SourceId(s), vec![w]).unwrap();
+            take_queries(&vm.handle(VmEvent::Update(numbered(u))).unwrap())
+        };
+
+        // Q1 stays outstanding for the whole burst.
+        let (t1, q1) = deliver(&mut vm, &mut c, 0, WriteOp::insert("R", tuple![9, 9]))
+            .pop()
+            .unwrap();
+        assert!(vm.log.is_empty(), "nothing outstanding before Q1");
+        // A: S[2,3] goes (registered for Q1) … B: and comes back, with Q3.
+        deliver(&mut vm, &mut c, 1, WriteOp::delete("S", tuple![2, 3]));
+        let (t3, q3) = deliver(&mut vm, &mut c, 1, WriteOp::insert("S", tuple![2, 3]))
+            .pop()
+            .unwrap();
+        // C: registered for both.
+        let (t4, q4) = deliver(&mut vm, &mut c, 0, WriteOp::insert("R", tuple![7, 7]))
+            .pop()
+            .unwrap();
+        let seen = |vm: &StrobeVm, t: &QueryToken| -> Vec<(Tuple, bool)> {
+            vm.log[vm.uqs[t].log_from..]
+                .iter()
+                .map(|comp| (comp.tuple.clone(), comp.is_delete))
+                .collect()
+        };
+        assert_eq!(
+            seen(&vm, &t1),
+            vec![
+                (tuple![2, 3], true),
+                (tuple![2, 3], false),
+                (tuple![7, 7], false)
+            ]
+        );
+        assert_eq!(seen(&vm, &t3), vec![(tuple![7, 7], false)]);
+        assert_eq!(seen(&vm, &t4), vec![]);
+
+        // Q3's answer holds [1,2,2,3]; read from offset 0 it would lose it
+        // to A and the batch would delete a join the sources still have.
+        let mut actions = Vec::new();
+        for (token, request) in [(t3, q3), (t4, q4), (t1, q1)] {
+            assert!(!vm.log.is_empty(), "{token} still reads it");
+            let answer = crate::protocol::answer_query(&c, &request).unwrap();
+            let outs = vm.handle(VmEvent::Answer { token, answer }).unwrap();
+            actions.extend(take_actions(&outs));
+        }
+        assert_eq!(actions.len(), 1);
+        assert!(
+            actions[0].payload.is_empty(),
+            "deleted and re-inserted within the batch: {}",
+            actions[0].payload
+        );
+        assert!(vm.effective_join().contains(&tuple![1, 2, 2, 3]));
+        assert!(vm.is_idle());
+        assert!(vm.log.is_empty(), "log dropped at quiescence");
+    }
+
+    /// The parent's algorithm as the executable specification of
+    /// [`StrobeVm`]: a private compensation list per query, deletes that
+    /// clone and scan mirror ⊕ pending, and an emit that rebuilds the whole
+    /// clamped mirror and diffs it against the old one.
+    struct ReferenceStrobe {
+        id: ViewId,
+        def: ViewDef,
+        mirror: Relation,
+        pending: Delta,
+        batch_first: Option<UpdateId>,
+        batch_last: UpdateId,
+        uqs: BTreeMap<QueryToken, (GlobalSeq, Vec<Compensation>)>,
+        next_token: u64,
+    }
+
+    impl ReferenceStrobe {
+        fn new(id: ViewId, def: ViewDef, provider: &dyn mvc_relational::StateProvider) -> Self {
+            let sources = fetch_sources(&def.core, provider).unwrap();
+            ReferenceStrobe {
+                id,
+                mirror: mvc_relational::eval_join_with(&def.core, &sources).unwrap(),
+                def,
+                pending: Delta::new(),
+                batch_first: None,
+                batch_last: UpdateId::ZERO,
+                uqs: BTreeMap::new(),
+                next_token: 1,
+            }
+        }
+
+        fn effective_join(&self) -> Relation {
+            let mut r = self.mirror.clone();
+            self.pending.apply_to(&mut r).unwrap();
+            r
+        }
+
+        fn is_idle(&self) -> bool {
+            self.uqs.is_empty() && self.batch_first.is_none()
+        }
+
+        fn try_emit(&mut self, out: &mut Vec<VmOutput>) {
+            if !self.uqs.is_empty() {
+                return;
+            }
+            let Some(first) = self.batch_first.take() else {
+                return;
+            };
+            let mut clamped = Relation::new(self.mirror.schema().clone());
+            for (t, _) in self.effective_join().iter_counted() {
+                clamped.insert(t.clone()).unwrap();
+            }
+            let join_delta = mvc_relational::diff(&self.mirror, &clamped);
+            let view_delta = project_delta(&self.def.core, &join_delta).unwrap();
+            self.mirror = clamped;
+            self.pending = Delta::new();
+            out.push(VmOutput::Action(ActionList::batch(
+                self.id,
+                first,
+                self.batch_last,
+                view_delta,
+            )));
+        }
+
+        fn handle(&mut self, event: VmEvent) -> Vec<VmOutput> {
+            let mut out = Vec::new();
+            match event {
+                VmEvent::Update(u) => {
+                    self.batch_first.get_or_insert(u.id);
+                    self.batch_last = u.id;
+                    let seq = u.seq();
+                    for change in &u.update.changes {
+                        let sources = &self.def.core.sources;
+                        let Some(k) = sources.iter().position(|s| *s == change.relation) else {
+                            continue;
+                        };
+                        let lo = self.def.core.offsets[k];
+                        for (t, n) in change.delta.iter() {
+                            for (_, comps) in self.uqs.values_mut() {
+                                comps.push(Compensation {
+                                    occurrence: k,
+                                    tuple: t.clone(),
+                                    seq,
+                                    is_delete: n < 0,
+                                });
+                            }
+                            if n > 0 {
+                                let mut rows = Relation::new(occurrence_schema(&self.def.core, k));
+                                rows.insert_n(t.clone(), n as u64).unwrap();
+                                let token = QueryToken(self.next_token);
+                                self.next_token += 1;
+                                self.uqs.insert(token, (seq, Vec::new()));
+                                out.push(VmOutput::Query {
+                                    token,
+                                    request: QueryRequest::JoinCurrentWith {
+                                        core: self.def.core.clone(),
+                                        occurrence: k,
+                                        rows,
+                                    },
+                                });
+                            } else {
+                                for (jt, held) in self.effective_join().iter_counted() {
+                                    if jt.values()[lo..lo + t.arity()] == *t.values() {
+                                        self.pending.add(jt.clone(), -(held as i64));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                VmEvent::Answer { token, answer } => {
+                    let (as_if, comps) = self.uqs.remove(&token).expect("known token");
+                    let QueryAnswer::Rows(mut rows, answered_at) = answer else {
+                        panic!("Strobe answers are rows");
+                    };
+                    for comp in &comps {
+                        if comp.is_delete || (comp.seq > as_if && comp.seq <= answered_at) {
+                            let lo = self.def.core.offsets[comp.occurrence];
+                            subtract_segment(&mut rows, lo, &comp.tuple);
+                        }
+                    }
+                    for (t, n) in rows.iter_counted() {
+                        self.pending.add(t.clone(), n as i64);
+                    }
+                }
+                VmEvent::Flush => {}
+            }
+            self.try_emit(&mut out);
+            out
+        }
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(kind, a, b, pick)` over a 3×3 key domain: writes that commit
+        /// at the sources (the manager hears of them only when a later
+        /// step delivers the update), deliveries, answers to an arbitrary
+        /// outstanding query computed at the sources' state *now* — so
+        /// out of order, late, and possibly ahead of updates the manager
+        /// has not seen — and flushes.
+        type Step = (u8, i64, i64, usize);
+
+        fn steps() -> impl Strategy<Value = (Vec<Step>, Vec<Step>)> {
+            let step = || (0u8..14, 0i64..3, 0i64..3, 0usize..8);
+            (
+                proptest::collection::vec(step(), 0..8),
+                proptest::collection::vec(step(), 0..60),
+            )
+        }
+
+        /// The source transaction of a write step (`None` for the other
+        /// kinds): single inserts and deletes on either relation, and a
+        /// two-relation global transaction.
+        fn writes(cluster: &SourceCluster, (kind, a, b, pick): Step) -> Option<Vec<WriteOp>> {
+            let (r, s) = (tuple![a, b], tuple![b, pick as i64 % 3]);
+            let live = |rel: &str, t: &Tuple| {
+                cluster
+                    .relation_current(&rel.into())
+                    .is_some_and(|r| r.contains(t))
+            };
+            // Sets at the sources: no second copy of a live tuple.
+            let insert = |rel: &str, t: Tuple| (!live(rel, &t)).then(|| WriteOp::insert(rel, t));
+            match kind {
+                0 | 1 => Some(vec![insert("R", r)?]),
+                2 | 3 => Some(vec![insert("S", s)?]),
+                4 => Some(vec![WriteOp::delete("R", r)]),
+                5 => Some(vec![WriteOp::delete("S", s)]),
+                6 => Some(vec![
+                    insert("R", r)?,
+                    if live("S", &s) {
+                        WriteOp::delete("S", s)
+                    } else {
+                        WriteOp::insert("S", s)
+                    },
+                ]),
+                _ => None,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 384, ..ProptestConfig::default() })]
+
+            /// Event for event, the manager and the reference emit the
+            /// same outputs and hold the same state; the index mirrors the
+            /// rows; the log is empty whenever the UQS is.
+            #[test]
+            fn incremental_manager_equals_full_rebuild_reference((load, run) in steps()) {
+                let mut c = cluster();
+                for step in load {
+                    if let Some(w) = writes(&c, step) {
+                        let _ = c.execute_global(SourceId(0), w); // absent-tuple deletes refuse
+                    }
+                }
+                let def = view(&c);
+                let mut vm = StrobeVm::new(ViewId(1), def.clone()).unwrap();
+                vm.initialize(&c.as_of(c.latest_seq())).unwrap();
+                let mut reference = ReferenceStrobe::new(ViewId(1), def, &c.as_of(c.latest_seq()));
+
+                let mut undelivered = std::collections::VecDeque::new();
+                let mut outstanding: Vec<(QueryToken, QueryRequest)> = Vec::new();
+                for step in run {
+                    let event = match step.0 {
+                        0..=6 => {
+                            if let Some(Ok(u)) = writes(&c, step).map(|w| c.execute_global(SourceId(0), w)) {
+                                undelivered.push_back(numbered(u));
+                            }
+                            continue;
+                        }
+                        7..=9 => match undelivered.pop_front() {
+                            Some(u) => VmEvent::Update(u),
+                            None => continue,
+                        },
+                        10..=12 if !outstanding.is_empty() => {
+                            let (token, request) = outstanding.remove(step.3 % outstanding.len());
+                            let answer = crate::protocol::answer_query(&c, &request).unwrap();
+                            VmEvent::Answer { token, answer }
+                        }
+                        _ => VmEvent::Flush,
+                    };
+                    let outs = vm.handle(event.clone()).unwrap();
+                    prop_assert_eq!(&outs, &reference.handle(event));
+                    outstanding.extend(take_queries(&outs));
+
+                    prop_assert_eq!(vm.mirror.rows(), &reference.mirror);
+                    prop_assert_eq!(vm.effective_join(), reference.effective_join());
+                    prop_assert_eq!(vm.is_idle(), reference.is_idle());
+                    prop_assert!(vm.mirror.index_agrees());
+                    prop_assert_eq!(vm.mirror.rows().len(), vm.mirror.rows().distinct_len() as u64);
+                    prop_assert!(!vm.uqs.is_empty() || vm.log.is_empty());
+                }
+            }
+        }
     }
 }
