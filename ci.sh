@@ -79,6 +79,17 @@ else
   echo "== bench smoke skipped (BENCH_SMOKE=0) =="
 fi
 
+echo "== answer_query bench (delta queries vs the left-deep reference, answers checked equal) =="
+# Runs each source-query case once at 256 / 4,096 / 65,536 tuples per
+# relation beside the reference join; every answer is asserted equal to
+# the reference's before it is timed. Timings are printed, not gated.
+# BENCH_SMOKE=0 skips.
+if [[ "${BENCH_SMOKE:-1}" == "1" ]]; then
+  cargo bench -q -p mvc-bench --bench answer_query
+else
+  echo "== answer_query bench skipped (BENCH_SMOKE=0) =="
+fi
+
 echo "== benchmark package (build vs the public API, lint, unit tests, oracle-certified check pass) =="
 # benchmark/ is a package of its own ([workspace] is empty), so nothing
 # above compiles it. `--check` stops before any timed run: build, fmt,

@@ -185,9 +185,11 @@ impl PipelineBuilder {
             c.record_snapshots,
         )
         .map_err(|e| PipelineError::Build(e.to_string()))?;
+        let mut cluster = self.cluster.clone();
+        self.registry.index_sources(&mut cluster);
         Ok(Pipeline {
             machine: Machine::new(
-                self.cluster.clone(),
+                cluster,
                 assembly,
                 self.workload.clone(),
                 c.breakage.map(|Breakage::ReorderCommits { depth }| depth),

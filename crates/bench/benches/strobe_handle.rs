@@ -93,8 +93,11 @@ mod parent {
 
     pub fn mirror(join_tuples: i64) -> Relation {
         let db = sources(join_tuples);
-        let rels = ["R", "S"].map(|n| db.relation(&n.into()).expect("loaded").clone());
-        mvc_relational::eval_join_with(&view().core, &rels).expect("join")
+        let r = db.relation(&"R".into()).expect("loaded");
+        let join = mvc_relational::eval_join(&view().core, 0, r.iter_counted(), |_| {
+            mvc_relational::JoinInput::State(&db)
+        });
+        join.expect("join")
     }
 
     /// Cancel every join tuple of mirror ⊕ pending whose segment at `lo`
@@ -139,7 +142,7 @@ fn bench_mirror_size(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("insert_answer_emit", n), &n, |b, &n| {
             let mut vm = manager(n);
-            let join_schema = view().core.join_schema;
+            let join_schema = view().core.join_schema.clone();
             let mut seq = 0;
             b.iter(|| {
                 seq += 1;
@@ -148,7 +151,7 @@ fn bench_mirror_size(c: &mut Criterion) {
                 let Some(VmOutput::Query { token, .. }) = outs.expect("valid event").pop() else {
                     panic!("an insert queries the sources");
                 };
-                let mut rows = Relation::new(join_schema.clone());
+                let mut rows = Relation::shared(join_schema.clone());
                 rows.insert(tuple![0, 0, 0, c]).expect("fits schema");
                 let answer = QueryAnswer::Rows(rows, GlobalSeq(seq));
                 black_box(vm.handle(VmEvent::Answer { token, answer }))

@@ -3,11 +3,14 @@
 
 use crate::catalog::Catalog;
 use crate::delta::Delta;
+use crate::index::JoinIndex;
 use crate::relation::Relation;
 use crate::schema::{RelationName, SchemaError};
+use crate::viewdef::SpjCore;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
 /// Anything that can supply the contents of a base relation for query
 /// evaluation: an in-memory [`Database`], an MVCC as-of snapshot, or a
@@ -20,12 +23,31 @@ use std::collections::BTreeMap;
 pub trait StateProvider {
     /// Fetch a relation's contents by name. `None` when unknown.
     fn fetch(&self, name: &RelationName) -> Option<Cow<'_, Relation>>;
+
+    /// A join index on exactly `cols` of the relation *as this provider
+    /// serves it*, when one is kept. The evaluator probes it instead of
+    /// hashing the fetched relation; `None` (the default) makes it hash.
+    fn index(&self, _name: &RelationName, _cols: &[usize]) -> Option<&JoinIndex> {
+        None
+    }
 }
 
-/// In-memory database: one [`Relation`] per name.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// In-memory database: one [`Relation`] per name, plus the join indexes
+/// registered on them.
+///
+/// Indexes are derived state: maintained by every mutation path
+/// ([`Database::apply`], [`Database::insert_relation`],
+/// [`Database::relation_mut`]) and ignored by equality.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Database {
     relations: BTreeMap<RelationName, Relation>,
+    indexes: BTreeMap<RelationName, Vec<JoinIndex>>,
+}
+
+impl PartialEq for Database {
+    fn eq(&self, other: &Self) -> bool {
+        self.relations == other.relations
+    }
 }
 
 impl Database {
@@ -44,16 +66,34 @@ impl Database {
         db
     }
 
+    /// Add or replace a relation; indexes registered on the name are
+    /// rebuilt over the new contents.
     pub fn insert_relation(&mut self, name: impl Into<RelationName>, rel: Relation) {
-        self.relations.insert(name.into(), rel);
+        let name = name.into();
+        if let Some(indexes) = self.indexes.get_mut(&name) {
+            for ix in indexes.iter_mut() {
+                *ix = JoinIndex::build(&rel, ix.cols());
+            }
+        }
+        self.relations.insert(name, rel);
     }
 
     pub fn relation(&self, name: &RelationName) -> Option<&Relation> {
         self.relations.get(name)
     }
 
-    pub fn relation_mut(&mut self, name: &RelationName) -> Option<&mut Relation> {
-        self.relations.get_mut(name)
+    /// Direct mutable access to a relation. The guard rebuilds the
+    /// relation's join indexes when dropped, so edits made through it
+    /// can never leave an index behind the rows (O(|R|) per registered
+    /// index — for set-up and tests; the maintained path is
+    /// [`Database::apply`]).
+    pub fn relation_mut(&mut self, name: &RelationName) -> Option<RelationMut<'_>> {
+        let rel = self.relations.get_mut(name)?;
+        let indexes = self
+            .indexes
+            .get_mut(name)
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        Some(RelationMut { rel, indexes })
     }
 
     pub fn names(&self) -> impl Iterator<Item = &RelationName> {
@@ -68,13 +108,37 @@ impl Database {
         self.relations.is_empty()
     }
 
-    /// Apply a delta to a named relation.
+    /// Apply a delta to a named relation, moving its join indexes by
+    /// exactly the copies that changed hands.
     pub fn apply(&mut self, name: &RelationName, delta: &Delta) -> Result<(), SchemaError> {
         let rel = self
             .relations
             .get_mut(name)
             .ok_or_else(|| SchemaError::UnknownAttribute(format!("relation `{name}`")))?;
-        delta.apply_to(rel)
+        let indexes = self
+            .indexes
+            .get_mut(name)
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        delta.apply_observed(rel, |t, n| {
+            for ix in indexes.iter_mut() {
+                ix.change(t, n);
+            }
+        })
+    }
+
+    /// Keep, from now on, every join index the delta queries of `core`
+    /// probe ([`SpjCore::join_indexes`]) on the relations this database
+    /// holds; each is built over the current contents. Idempotent.
+    pub fn index_join_columns(&mut self, core: &SpjCore) {
+        for (name, cols) in core.join_indexes() {
+            let Some(rel) = self.relations.get(name) else {
+                continue;
+            };
+            let indexes = self.indexes.entry(name.clone()).or_default();
+            if !indexes.iter().any(|ix| ix.cols() == cols) {
+                indexes.push(JoinIndex::build(rel, cols));
+            }
+        }
     }
 
     /// Content fingerprint over all relations (order-independent by name).
@@ -93,6 +157,40 @@ impl Database {
 impl StateProvider for Database {
     fn fetch(&self, name: &RelationName) -> Option<Cow<'_, Relation>> {
         self.relations.get(name).map(Cow::Borrowed)
+    }
+
+    fn index(&self, name: &RelationName, cols: &[usize]) -> Option<&JoinIndex> {
+        self.indexes.get(name)?.iter().find(|ix| ix.cols() == cols)
+    }
+}
+
+/// Mutable access to one relation of a [`Database`]
+/// ([`Database::relation_mut`]); rebuilds the relation's join indexes on
+/// drop.
+pub struct RelationMut<'a> {
+    rel: &'a mut Relation,
+    indexes: &'a mut [JoinIndex],
+}
+
+impl Deref for RelationMut<'_> {
+    type Target = Relation;
+
+    fn deref(&self) -> &Relation {
+        self.rel
+    }
+}
+
+impl DerefMut for RelationMut<'_> {
+    fn deref_mut(&mut self) -> &mut Relation {
+        self.rel
+    }
+}
+
+impl Drop for RelationMut<'_> {
+    fn drop(&mut self) {
+        for ix in self.indexes.iter_mut() {
+            *ix = JoinIndex::build(self.rel, ix.cols());
+        }
     }
 }
 
@@ -123,6 +221,16 @@ impl<P: StateProvider + ?Sized> StateProvider for Overlay<'_, P> {
         match self.replacements.get(name) {
             Some(r) => Some(Cow::Borrowed(r)),
             None => self.base.fetch(name),
+        }
+    }
+
+    /// The base's index, except for a replaced relation (the base's index
+    /// describes the rows the replacement hides).
+    fn index(&self, name: &RelationName, cols: &[usize]) -> Option<&JoinIndex> {
+        if self.replacements.contains_key(name) {
+            None
+        } else {
+            self.base.index(name, cols)
         }
     }
 }

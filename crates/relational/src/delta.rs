@@ -198,14 +198,30 @@ impl Delta {
     /// deletes and earlier inserts applied — call
     /// [`Delta::check_against`] first where that matters.
     pub fn apply_to(&self, rel: &mut Relation) -> Result<(), SchemaError> {
+        self.apply_observed(rel, |_, _| {})
+    }
+
+    /// [`Delta::apply_to`], reporting to `seen` every tuple whose
+    /// multiplicity actually moved and by how much (a clamped delete
+    /// reports what it removed) — how a [`Database`](crate::Database)
+    /// keeps its join indexes in step.
+    pub(crate) fn apply_observed(
+        &self,
+        rel: &mut Relation,
+        mut seen: impl FnMut(&Tuple, i64),
+    ) -> Result<(), SchemaError> {
         for (t, n) in &self.changes {
             if *n < 0 {
-                rel.delete_n(t, (-n) as u64);
+                let removed = rel.delete_n(t, (-n) as u64);
+                if removed > 0 {
+                    seen(t, -(removed as i64));
+                }
             }
         }
         for (t, n) in &self.changes {
             if *n > 0 {
                 rel.insert_n(t.clone(), *n as u64)?;
+                seen(t, *n);
             }
         }
         Ok(())

@@ -1,21 +1,49 @@
-//! Query evaluation: a left-deep hash-join pipeline over bag relations.
+//! Query evaluation: a hash-join pipeline over bag relations, driven from
+//! the source occurrence whose rows the caller holds.
 //!
 //! Evaluation takes the base relations from a [`StateProvider`], so the
 //! same code path computes a view at the current source state, at an MVCC
-//! as-of snapshot, or over an [`Overlay`](crate::database::Overlay) that
-//! substitutes a delta for one relation (the delta rule of
-//! [`maintain`](crate::maintain)).
+//! as-of snapshot, or over an [`Overlay`](crate::database::Overlay).
+//!
+//! [`eval_join_with`] is the one join. It starts at a given occurrence
+//! from given rows (a delta, Strobe's substituted tuple, or — for a full
+//! evaluation — occurrence 0's whole relation) and reaches every further
+//! occurrence through its equi-join conjuncts, in the order the core's
+//! `JoinPlan` for that start fixes. At each step it probes the
+//! provider's [`JoinIndex`] on exactly that step's columns when the
+//! provider lends one; otherwise it hashes the fetched relation, as every
+//! step did before indexes existed. A delta query against indexed current
+//! state therefore costs O(|Δ| × fan-out), not O(|R|).
 
 use crate::database::StateProvider;
 use crate::delta::Delta;
 use crate::expr::{CmpOp, Expr, ExprError};
-use crate::relation::Relation;
+use crate::index::{key_of, JoinIndex};
+use crate::relation::{FoldHasher, Relation};
 use crate::schema::{RelationName, SchemaError};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::viewdef::{conjuncts, AggFunc, SpjCore, ViewDef};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
+
+#[cfg(test)]
+pub(crate) mod reference {
+    use crate::eval::EvalError;
+    use crate::expr::{CmpOp, Expr};
+    use crate::relation::Relation;
+    use crate::tuple::Tuple;
+    use crate::value::Value;
+    use crate::viewdef::{conjuncts, SpjCore};
+    use std::collections::HashMap;
+    include!("eval/reference.rs");
+}
+
+#[cfg(test)]
+mod equivalence;
 
 /// Errors raised during evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +85,372 @@ impl From<ExprError> for EvalError {
     }
 }
 
+/// Where a join reads one (non-starting) source occurrence from.
+#[derive(Clone, Copy)]
+pub enum JoinInput<'a> {
+    /// Explicit rows: hashed on the step's columns for this call.
+    Rows(&'a Relation),
+    /// The occurrence's relation as a provider serves it: probed through
+    /// the provider's index on the step's columns when it lends one,
+    /// else fetched and hashed.
+    State(&'a dyn StateProvider),
+}
+
+/// One conjunct of a core's predicate, by what it reads.
+enum Conjunct<'e> {
+    /// Columns of one occurrence only (none: a constant).
+    Local(Option<usize>, &'e Expr),
+    /// `Col(i) = Col(j)` across two occurrences: a join key.
+    Equi((usize, usize), (usize, usize)),
+    /// Anything else over several occurrences, with the set it reads.
+    Residual(Vec<usize>, &'e Expr),
+}
+
+/// How [`eval_join_with`] evaluates a core from one starting occurrence.
+/// Derived from the definition alone and built once with it (one per
+/// occurrence, held by the [`SpjCore`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct JoinPlan {
+    /// Conjuncts reading only the start occurrence, over its own
+    /// positions — also the ref \[7\] relevance test for that occurrence.
+    start_filter: Vec<Expr>,
+    /// The remaining occurrences in visiting order.
+    steps: Vec<JoinStep>,
+    /// Conjuncts checked on the assembled join tuple: constants, and
+    /// residuals first bound at the last step.
+    emit_filter: Vec<Expr>,
+    /// Visit position of each occurrence (the start is at 0).
+    pos_of: Vec<usize>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct JoinStep {
+    occ: usize,
+    /// Key columns of `occ`, over its own positions: the index this step
+    /// probes. Empty for a cross product.
+    cols: Vec<usize>,
+    /// Where each key value comes from: (visit position, position within
+    /// that occurrence), aligned with `cols`.
+    probe: Vec<(usize, usize)>,
+    /// Conjuncts reading only `occ`, over its own positions.
+    filter: Vec<Expr>,
+    /// Conjuncts over several occurrences first fully bound here, over
+    /// join-schema positions (empty at the last step: see `emit_filter`).
+    residual: Vec<Expr>,
+}
+
+impl JoinPlan {
+    /// Visit `start` first, then repeatedly the lowest-numbered unvisited
+    /// occurrence an equi conjunct ties to the visited ones (the lowest
+    /// unvisited one when none is tied: a cross product). From occurrence
+    /// 0 over a chain this is the left-deep order `0, 1, …, n−1`.
+    pub(crate) fn new(core: &SpjCore, start: usize) -> Self {
+        let n = core.sources.len();
+        let occ_of = |c: usize| core.offsets.partition_point(|&o| o <= c) - 1;
+        let local = |k: usize, e: &Expr| {
+            let range = core.occurrence_range(k);
+            e.remap_columns(&|c| range.contains(&c).then(|| c - range.start))
+                .expect("columns checked local")
+        };
+        let classified: Vec<Conjunct<'_>> = conjuncts(&core.predicate)
+            .into_iter()
+            .map(|e| {
+                let mut occs: Vec<usize> = e.columns().into_iter().map(occ_of).collect();
+                occs.dedup();
+                if let Expr::Cmp(CmpOp::Eq, a, b) = e {
+                    if let (Expr::Col(i), Expr::Col(j)) = (a.as_ref(), b.as_ref()) {
+                        let (oi, oj) = (occ_of(*i), occ_of(*j));
+                        if oi != oj {
+                            let at = |c: usize, o: usize| (o, c - core.offsets[o]);
+                            return Conjunct::Equi(at(*i, oi), at(*j, oj));
+                        }
+                    }
+                }
+                match occs.as_slice() {
+                    [] => Conjunct::Local(None, e),
+                    [k] => Conjunct::Local(Some(*k), e),
+                    _ => Conjunct::Residual(occs, e),
+                }
+            })
+            .collect();
+
+        let mut pos_of = vec![usize::MAX; n];
+        pos_of[start] = 0;
+        let mut visited = 1;
+        let mut steps = Vec::with_capacity(n - 1);
+        let mut emit_filter = Vec::new();
+        let ties = |m: usize, pos_of: &[usize]| {
+            classified.iter().any(|c| match c {
+                Conjunct::Equi((a, _), (b, _)) => {
+                    (*a == m && pos_of[*b] != usize::MAX) || (*b == m && pos_of[*a] != usize::MAX)
+                }
+                _ => false,
+            })
+        };
+        while visited < n {
+            let unvisited = || (0..n).filter(|&m| pos_of[m] == usize::MAX);
+            let occ = unvisited()
+                .find(|&m| ties(m, &pos_of))
+                .or_else(|| unvisited().next())
+                .expect("an occurrence is left");
+            let mut keys: Vec<(usize, (usize, usize))> = Vec::new();
+            for c in &classified {
+                if let Conjunct::Equi(a, b) = c {
+                    for (here, there) in [(a, b), (b, a)] {
+                        if here.0 == occ && pos_of[there.0] != usize::MAX {
+                            keys.push((here.1, (pos_of[there.0], there.1)));
+                        }
+                    }
+                }
+            }
+            keys.sort_unstable();
+            pos_of[occ] = visited;
+            visited += 1;
+            let residual: Vec<Expr> = classified
+                .iter()
+                .filter_map(|c| match c {
+                    Conjunct::Residual(occs, e)
+                        if occs.contains(&occ) && occs.iter().all(|&o| pos_of[o] != usize::MAX) =>
+                    {
+                        Some((*e).clone())
+                    }
+                    _ => None,
+                })
+                .collect();
+            let residual = if visited == n {
+                emit_filter.extend(residual);
+                Vec::new()
+            } else {
+                residual
+            };
+            steps.push(JoinStep {
+                occ,
+                cols: keys.iter().map(|(c, _)| *c).collect(),
+                probe: keys.iter().map(|(_, p)| *p).collect(),
+                filter: classified
+                    .iter()
+                    .filter_map(|c| match c {
+                        Conjunct::Local(Some(k), e) if *k == occ => Some(local(occ, e)),
+                        _ => None,
+                    })
+                    .collect(),
+                residual,
+            });
+        }
+        let mut start_filter = Vec::new();
+        for c in &classified {
+            match c {
+                Conjunct::Local(Some(k), e) if *k == start => start_filter.push(local(start, e)),
+                Conjunct::Local(None, e) => emit_filter.push((*e).clone()),
+                _ => {}
+            }
+        }
+        JoinPlan {
+            start_filter,
+            steps,
+            emit_filter,
+            pos_of,
+        }
+    }
+
+    /// Can `t`, placed at the start occurrence, pass that occurrence's own
+    /// conjuncts? (An evaluation error counts as no.)
+    pub(crate) fn accepts(&self, t: &Tuple) -> bool {
+        self.start_filter
+            .iter()
+            .all(|e| matches!(e.matches(t), Ok(true)))
+    }
+
+    /// (occurrence, key columns) of every step that probes by key.
+    pub(crate) fn probed(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        self.steps
+            .iter()
+            .filter(|s| !s.cols.is_empty())
+            .map(|s| (s.occ, s.cols.as_slice()))
+    }
+}
+
+type Table<'a> = HashMap<Vec<Value>, Vec<(&'a Tuple, u64)>, BuildHasherDefault<FoldHasher>>;
+
+/// What one step of a join probes.
+enum Probe<'a> {
+    Index(&'a JoinIndex),
+    /// The occurrence's rows hashed on the step's columns for this call.
+    Table(Table<'a>),
+}
+
+impl<'a> Probe<'a> {
+    fn table(rel: &'a Relation, cols: &[usize]) -> Self {
+        let mut table = Table::default();
+        for (t, n) in rel.iter_counted() {
+            let key = key_of(t, cols);
+            match table.get_mut(key.as_ref()) {
+                Some(bucket) => bucket.push((t, n)),
+                None => {
+                    table.insert(key.into_owned(), vec![(t, n)]);
+                }
+            }
+        }
+        Probe::Table(table)
+    }
+
+    fn for_each(
+        &self,
+        key: &[Value],
+        mut f: impl FnMut(&'a Tuple, u64) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        match self {
+            Probe::Index(ix) => {
+                let ix: &'a JoinIndex = ix;
+                ix.get(key).try_for_each(|(t, n)| f(t, n))
+            }
+            Probe::Table(table) => table
+                .get(key)
+                .map_or(&[][..], Vec::as_slice)
+                .iter()
+                .try_for_each(|&(t, n)| f(t, n)),
+        }
+    }
+}
+
+/// What a step reads before any probing: a lent index or fetched rows.
+enum Side<'a> {
+    Indexed(&'a JoinIndex),
+    Scan(Cow<'a, Relation>),
+}
+
+/// The one join. Starting at occurrence `start` from the rows `seed`
+/// (each must fit that occurrence's schema), reach every other
+/// occurrence `m` — read from `input(m)` — as the core's plan for `start`
+/// orders them, and hand every pre-projection join tuple (qualified
+/// [`SpjCore::join_schema`] layout) with its multiplicity to `emit`.
+///
+/// Every occurrence but the start is probed by key: through the provider's
+/// index on exactly the step's columns where [`JoinInput::State`] lends one,
+/// through a hash table built here otherwise. A `Null` key value never
+/// matches.
+pub fn eval_join_with<'s, 'a>(
+    core: &SpjCore,
+    start: usize,
+    seed: impl IntoIterator<Item = (&'s Tuple, u64)>,
+    input: impl Fn(usize) -> JoinInput<'a>,
+    mut emit: impl FnMut(Tuple, u64) -> Result<(), EvalError>,
+) -> Result<(), EvalError> {
+    let plan = core.plan(start).ok_or(SchemaError::PositionOutOfRange {
+        position: start,
+        arity: core.sources.len(),
+    })?;
+    let sides: Vec<Side<'a>> = plan
+        .steps
+        .iter()
+        .map(|step| {
+            let name = &core.sources[step.occ];
+            match input(step.occ) {
+                JoinInput::Rows(rel) => Ok(Side::Scan(Cow::Borrowed(rel))),
+                JoinInput::State(p) => match p.index(name, &step.cols) {
+                    Some(ix) if !step.cols.is_empty() => Ok(Side::Indexed(ix)),
+                    _ => p
+                        .fetch(name)
+                        .map(Side::Scan)
+                        .ok_or_else(|| EvalError::MissingRelation(name.clone())),
+                },
+            }
+        })
+        .collect::<Result<_, _>>()?;
+    let probes: Vec<Probe<'_>> = sides
+        .iter()
+        .zip(&plan.steps)
+        .map(|(side, step)| match side {
+            Side::Indexed(ix) => Probe::Index(ix),
+            Side::Scan(rel) => Probe::table(rel, &step.cols),
+        })
+        .collect();
+
+    // Bound rows, flattened: one tuple per visited occurrence, in visit
+    // order, then the row's multiplicity in `mults`.
+    let arity = core.occurrence_schema(start).arity();
+    let mut rows: Vec<&Tuple> = Vec::new();
+    let mut mults: Vec<u64> = Vec::new();
+    for (t, n) in seed {
+        if t.arity() != arity {
+            return Err(SchemaError::ArityMismatch {
+                expected: arity,
+                actual: t.arity(),
+            }
+            .into());
+        }
+        if passes_all(&plan.start_filter, t)? {
+            rows.push(t);
+            mults.push(n);
+        }
+    }
+
+    let mut key_buf: Vec<Value> = Vec::new();
+    for (width, (step, probe)) in (1..).zip(plan.steps.iter().zip(&probes)) {
+        let mut next_rows = Vec::with_capacity(rows.len() + rows.len() / width);
+        let mut next_mults = Vec::with_capacity(mults.len());
+        for (row, &m) in rows.chunks_exact(width).zip(&mults) {
+            let key: &[Value] = match step.probe.as_slice() {
+                [(p, c)] => std::slice::from_ref(row[*p].get(*c)),
+                probe => {
+                    key_buf.clear();
+                    key_buf.extend(probe.iter().map(|&(p, c)| row[p].get(c).clone()));
+                    &key_buf
+                }
+            };
+            // Null join keys never match (SQL semantics).
+            if key.iter().any(Value::is_null) {
+                continue;
+            }
+            probe.for_each(key, |t, n| {
+                if !passes_all(&step.filter, t)? {
+                    return Ok(());
+                }
+                if !step.residual.is_empty() {
+                    let mut parts = row.to_vec();
+                    parts.push(t);
+                    if !passes_all(&step.residual, &assemble(core, plan, &parts))? {
+                        return Ok(());
+                    }
+                }
+                next_rows.extend_from_slice(row);
+                next_rows.push(t);
+                next_mults.push(m * n);
+                Ok(())
+            })?;
+        }
+        rows = next_rows;
+        mults = next_mults;
+    }
+
+    for (row, &m) in rows.chunks_exact(plan.steps.len() + 1).zip(&mults) {
+        let t = assemble(core, plan, row);
+        if passes_all(&plan.emit_filter, &t)? {
+            emit(t, m)?;
+        }
+    }
+    Ok(())
+}
+
+/// The join tuple of `parts` (one tuple per visited occurrence, in visit
+/// order), in occurrence order; occurrences not visited yet read as
+/// `Null`, which no conjunct bound so far looks at.
+fn assemble(core: &SpjCore, plan: &JoinPlan, parts: &[&Tuple]) -> Tuple {
+    if let [only] = parts {
+        if core.sources.len() == 1 {
+            return (*only).clone();
+        }
+    }
+    let mut vals = Vec::with_capacity(core.join_schema.arity());
+    for (occ, &pos) in plan.pos_of.iter().enumerate() {
+        match parts.get(pos) {
+            Some(t) => vals.extend_from_slice(t.values()),
+            None => vals.extend(core.occurrence_range(occ).map(|_| Value::Null)),
+        }
+    }
+    Tuple::new(vals)
+}
+
 /// Evaluate a full view definition (SPJ core plus optional aggregation).
 pub fn eval_view(def: &ViewDef, provider: &dyn StateProvider) -> Result<Relation, EvalError> {
     let core = eval_core(&def.core, provider)?;
@@ -67,152 +461,51 @@ pub fn eval_view(def: &ViewDef, provider: &dyn StateProvider) -> Result<Relation
     }
 }
 
-/// Evaluate just the SPJ core against a provider. Provider state is
-/// borrowed where the provider allows it — the join below only reads.
+/// Evaluate just the SPJ core against a provider: a join from occurrence
+/// 0's whole relation, borrowed where the provider allows it.
 pub fn eval_core(core: &SpjCore, provider: &dyn StateProvider) -> Result<Relation, EvalError> {
-    let rels: Vec<std::borrow::Cow<'_, Relation>> = core
-        .sources
-        .iter()
-        .map(|n| {
-            provider
-                .fetch(n)
-                .ok_or_else(|| EvalError::MissingRelation(n.clone()))
-        })
-        .collect::<Result<_, _>>()?;
-    eval_core_with(core, &rels)
-}
-
-/// Evaluate the SPJ core with explicitly supplied relations, one per source
-/// occurrence (in order). This is the entry point the delta rules use to
-/// substitute a delta for one occurrence. Accepts owned or borrowed
-/// relations (`Relation`, `Cow<Relation>`, …) — evaluation never mutates.
-pub fn eval_core_with<R: std::borrow::Borrow<Relation>>(
-    core: &SpjCore,
-    rels: &[R],
-) -> Result<Relation, EvalError> {
-    let joined = eval_join_with(core, rels)?;
-    project_relation(core, &joined)
-}
-
-/// Evaluate only the select-join part, returning *pre-projection* rows in
-/// the qualified [`SpjCore::join_schema`]. Strobe-style view managers keep
-/// their mirror at this level so that base-tuple deletes can be applied by
-/// segment matching without re-querying the sources.
-pub fn eval_join_with<R: std::borrow::Borrow<Relation>>(
-    core: &SpjCore,
-    rels: &[R],
-) -> Result<Relation, EvalError> {
-    let rels: Vec<&Relation> = rels.iter().map(std::borrow::Borrow::borrow).collect();
-    if rels.len() != core.sources.len() {
-        return Err(EvalError::SourceCountMismatch {
-            expected: core.sources.len(),
-            actual: rels.len(),
-        });
-    }
-
-    // Classify predicate conjuncts by the first pipeline stage at which all
-    // their columns are bound.
-    let all_conjuncts = conjuncts(&core.predicate);
-    let stage_end: Vec<usize> = core
-        .offsets
-        .iter()
-        .zip(&rels)
-        .map(|(off, r)| off + r.schema().arity())
-        .collect();
-    let stage_of = |e: &Expr| -> usize {
-        let max_col = e.columns().into_iter().max().unwrap_or(0);
-        stage_end
-            .iter()
-            .position(|&end| max_col < end)
-            .unwrap_or(stage_end.len() - 1)
-    };
-    let mut stage_conjuncts: Vec<Vec<&Expr>> = vec![Vec::new(); rels.len()];
-    for c in all_conjuncts {
-        stage_conjuncts[stage_of(c)].push(c);
-    }
-
-    // Stage 0: filter the first relation.
-    let mut working: Vec<(Tuple, u64)> = Vec::new();
-    for (t, n) in rels[0].iter_counted() {
-        if passes_all(&stage_conjuncts[0], t)? {
-            working.push((t.clone(), n));
-        }
-    }
-
-    // Stages 1..: hash join each subsequent relation.
-    for k in 1..rels.len() {
-        let off = core.offsets[k];
-        let arity = rels[k].schema().arity();
-        // Split stage conjuncts into equi-join keys and residual filters.
-        let mut left_keys: Vec<usize> = Vec::new();
-        let mut right_keys: Vec<usize> = Vec::new();
-        let mut residual: Vec<&Expr> = Vec::new();
-        for c in &stage_conjuncts[k] {
-            if let Expr::Cmp(CmpOp::Eq, a, b) = c {
-                if let (Expr::Col(i), Expr::Col(j)) = (a.as_ref(), b.as_ref()) {
-                    let (lo, hi) = if i < j { (*i, *j) } else { (*j, *i) };
-                    if lo < off && (off..off + arity).contains(&hi) {
-                        left_keys.push(lo);
-                        right_keys.push(hi - off);
-                        continue;
-                    }
-                }
-            }
-            residual.push(c);
-        }
-
-        // Build side: hash the new relation on its join-key columns.
-        let mut table: HashMap<Vec<Value>, Vec<(&Tuple, u64)>> = HashMap::new();
-        for (t, n) in rels[k].iter_counted() {
-            let key: Vec<Value> = right_keys.iter().map(|&c| t.get(c).clone()).collect();
-            table.entry(key).or_default().push((t, n));
-        }
-
-        // Probe side.
-        let mut next: Vec<(Tuple, u64)> = Vec::new();
-        for (lt, ln) in &working {
-            let key: Vec<Value> = left_keys.iter().map(|&c| lt.get(c).clone()).collect();
-            // Null join keys never match (SQL semantics).
-            if key.iter().any(Value::is_null) && !left_keys.is_empty() {
-                continue;
-            }
-            if let Some(matches) = table.get(&key) {
-                for (rt, rn) in matches {
-                    let joined = lt.concat(rt);
-                    if passes_all(&residual, &joined)? {
-                        next.push((joined, ln * rn));
-                    }
-                }
-            }
-        }
-        working = next;
-    }
-
-    let mut out = Relation::new(core.join_schema.clone());
-    for (t, n) in working {
-        out.insert_n(t, n)?;
-    }
+    let first = &core.sources[0];
+    let first = provider
+        .fetch(first)
+        .ok_or_else(|| EvalError::MissingRelation(first.clone()))?;
+    let mut out = Relation::shared(core.output_schema.clone());
+    eval_join_with(
+        core,
+        0,
+        first.iter_counted(),
+        |_| JoinInput::State(provider),
+        |t, n| Ok(out.insert_n(project_tuple(core, t)?, n)?),
+    )?;
     Ok(out)
 }
 
-/// Apply the core's projection to a join-level relation.
-pub fn project_relation(core: &SpjCore, joined: &Relation) -> Result<Relation, EvalError> {
-    let mut out = Relation::new(core.output_schema.clone());
+/// [`eval_join_with`] collected into a relation over the qualified
+/// [`SpjCore::join_schema`] — the level Strobe-style view managers keep
+/// their mirror at, so that base-tuple deletes can be applied by segment
+/// matching without re-querying the sources.
+pub fn eval_join<'s, 'a>(
+    core: &SpjCore,
+    start: usize,
+    seed: impl IntoIterator<Item = (&'s Tuple, u64)>,
+    input: impl Fn(usize) -> JoinInput<'a>,
+) -> Result<Relation, EvalError> {
+    let mut out = Relation::shared(core.join_schema.clone());
+    eval_join_with(core, start, seed, input, |t, n| Ok(out.insert_n(t, n)?))?;
+    Ok(out)
+}
+
+/// A join-level tuple under the core's projection (itself when the
+/// projection is the identity).
+pub fn project_tuple(core: &SpjCore, t: Tuple) -> Result<Tuple, EvalError> {
     if core.projection.is_empty() {
-        for (t, n) in joined.iter_counted() {
-            out.insert_n(t.clone(), n)?;
-        }
-    } else {
-        for (t, n) in joined.iter_counted() {
-            let vals: Vec<Value> = core
-                .projection
-                .iter()
-                .map(|e| e.eval(t))
-                .collect::<Result<_, _>>()?;
-            out.insert_n(Tuple::new(vals), n)?;
-        }
+        return Ok(t);
     }
-    Ok(out)
+    let vals: Vec<Value> = core
+        .projection
+        .iter()
+        .map(|e| e.eval(&t))
+        .collect::<Result<_, _>>()?;
+    Ok(Tuple::new(vals))
 }
 
 /// Apply the core's projection to a join-level delta. Projection is linear
@@ -220,22 +513,12 @@ pub fn project_relation(core: &SpjCore, joined: &Relation) -> Result<Relation, E
 pub fn project_delta(core: &SpjCore, join_delta: &Delta) -> Result<Delta, EvalError> {
     let mut out = Delta::new();
     for (t, n) in join_delta.iter() {
-        let projected = if core.projection.is_empty() {
-            t.clone()
-        } else {
-            let vals: Vec<Value> = core
-                .projection
-                .iter()
-                .map(|e| e.eval(t))
-                .collect::<Result<_, _>>()?;
-            Tuple::new(vals)
-        };
-        out.add(projected, n);
+        out.add(project_tuple(core, t.clone())?, n);
     }
     Ok(out)
 }
 
-fn passes_all(preds: &[&Expr], t: &Tuple) -> Result<bool, EvalError> {
+fn passes_all(preds: &[Expr], t: &Tuple) -> Result<bool, EvalError> {
     for p in preds {
         if !p.matches(t)? {
             return Ok(false);
@@ -575,17 +858,23 @@ mod tests {
     }
 
     #[test]
-    fn source_count_mismatch() {
-        let (cat, _) = setup();
+    fn bad_start_or_seed_arity_is_an_error() {
+        let (cat, db) = setup();
         let v = ViewDef::builder("V")
             .from("R")
             .from("S")
             .build(&cat)
             .unwrap();
-        let r = Relation::new(Schema::ints(&["a", "b"]));
+        let input = |_| JoinInput::State(&db);
+        let t = tuple![1, 2];
         assert!(matches!(
-            eval_core_with(&v.core, &[r]),
-            Err(EvalError::SourceCountMismatch { .. })
+            eval_join(&v.core, 2, [(&t, 1)], input),
+            Err(EvalError::Schema(SchemaError::PositionOutOfRange { .. }))
+        ));
+        let short = tuple![1];
+        assert!(matches!(
+            eval_join(&v.core, 1, [(&short, 1)], input),
+            Err(EvalError::Schema(SchemaError::ArityMismatch { .. }))
         ));
     }
 }

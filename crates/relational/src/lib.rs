@@ -16,6 +16,7 @@ pub mod database;
 pub mod delta;
 pub mod eval;
 pub mod expr;
+pub mod index;
 pub mod maintain;
 pub mod relation;
 pub mod schema;
@@ -25,13 +26,14 @@ pub mod value;
 pub mod viewdef;
 
 pub use catalog::Catalog;
-pub use database::{Database, Overlay, StateProvider};
+pub use database::{Database, Overlay, RelationMut, StateProvider};
 pub use delta::{Delta, TupleOp};
 pub use eval::{
-    diff, eval_core, eval_core_with, eval_join_with, eval_view, project_delta, project_relation,
-    EvalError,
+    diff, eval_core, eval_join, eval_join_with, eval_view, project_delta, project_tuple, EvalError,
+    JoinInput,
 };
 pub use expr::{ArithOp, CmpOp, Expr, ExprError};
+pub use index::JoinIndex;
 pub use relation::Relation;
 pub use schema::{Attribute, RelationName, Schema, SchemaError};
 pub use sql::{parse_view, SqlError};

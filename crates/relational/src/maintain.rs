@@ -16,82 +16,46 @@
 
 use crate::database::StateProvider;
 use crate::delta::Delta;
-use crate::eval::{aggregate, diff, eval_core_with, EvalError};
+use crate::eval::{aggregate, diff, eval_join_with, project_tuple, EvalError, JoinInput};
 use crate::relation::Relation;
 use crate::schema::RelationName;
 use crate::value::Value;
 use crate::viewdef::{SpjCore, ViewDef};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Compute the exact view delta for an SPJ core given the base-relation
 /// deltas in `changes`, with `old` providing pre-batch states and `new`
 /// providing post-batch states. Relations absent from `changes` must be
 /// identical in both providers.
+///
+/// Each term is one join started at the changed occurrence from the
+/// delta's positive or negative part, so it costs what the delta joins
+/// with — O(|Δ| × fan-out) where the providers lend indexes — and each
+/// joined tuple is projected straight into the output. The changed
+/// relation itself is never fetched.
 pub fn spj_delta(
     core: &SpjCore,
     old: &dyn StateProvider,
     new: &dyn StateProvider,
     changes: &BTreeMap<RelationName, Delta>,
 ) -> Result<Delta, EvalError> {
-    let n = core.sources.len();
     let mut out = Delta::new();
-
-    for k in 0..n {
-        let name = &core.sources[k];
+    for (k, name) in core.sources.iter().enumerate() {
         let Some(change) = changes.get(name) else {
             continue;
         };
-        if change.is_empty() {
-            continue;
-        }
-
-        // Assemble the per-occurrence relation vector for this term.
-        // Unchanged occurrences stay borrowed from the providers; only the
-        // delta occurrence is materialized.
-        let mut rels: Vec<Cow<'_, Relation>> = Vec::with_capacity(n);
-        for (m, src) in core.sources.iter().enumerate() {
-            if m == k {
-                // placeholder; replaced below by the delta parts
-                let schema = old
-                    .fetch(src)
-                    .ok_or_else(|| EvalError::MissingRelation(src.clone()))?
-                    .schema()
-                    .clone();
-                rels.push(Cow::Owned(Relation::new(schema)));
-            } else if m < k {
-                rels.push(
-                    new.fetch(src)
-                        .ok_or_else(|| EvalError::MissingRelation(src.clone()))?,
-                );
-            } else {
-                rels.push(
-                    old.fetch(src)
-                        .ok_or_else(|| EvalError::MissingRelation(src.clone()))?,
-                );
-            }
-        }
-
-        let schema = rels[k].schema().clone();
-        let plus = change.inserts_relation(&schema)?;
-        let minus = change.deletes_relation(&schema)?;
-
-        if !plus.is_empty() {
-            rels[k] = Cow::Owned(plus);
-            let contrib = eval_core_with(core, &rels)?;
-            for (t, m) in contrib.iter_counted() {
-                out.add(t.clone(), m as i64);
-            }
-        }
-        if !minus.is_empty() {
-            rels[k] = Cow::Owned(minus);
-            let contrib = eval_core_with(core, &rels)?;
-            for (t, m) in contrib.iter_counted() {
-                out.add(t.clone(), -(m as i64));
-            }
+        let input = |m: usize| JoinInput::State(if m < k { new } else { old });
+        for sign in [1, -1] {
+            let part = change
+                .iter()
+                .filter(|&(_, n)| n.signum() == sign)
+                .map(|(t, n)| (t, n.unsigned_abs()));
+            eval_join_with(core, k, part, input, |t, m| {
+                out.add(project_tuple(core, t)?, sign * m as i64);
+                Ok(())
+            })?;
         }
     }
-
     Ok(out)
 }
 

@@ -57,8 +57,8 @@ enum Change {
 /// Nothing to gain from inlining it, so every workload keeps the code it
 /// was measured with.
 #[inline(never)]
-fn tuple_hash(t: &Tuple) -> u64 {
-    let mut h = FoldHasher(0x243f_6a88_85a3_08d3);
+pub(crate) fn tuple_hash(t: &Tuple) -> u64 {
+    let mut h = FoldHasher::default();
     t.hash(&mut h);
     h.finish() | 1
 }
@@ -73,8 +73,15 @@ fn tuple_hash(t: &Tuple) -> u64 {
 /// view managers' intermediate results included — so it has to be cheap:
 /// 8.5 / 17 ns for a tuple of four / eight integers, where SipHash
 /// (`DefaultHasher`) takes 46 / 90 ns. It gives no protection against
-/// chosen input; the fingerprint claims none.
-struct FoldHasher(u64);
+/// chosen input; the fingerprint claims none. The join indexes
+/// (`index.rs`) hash their keys with it for the same reason.
+pub(crate) struct FoldHasher(u64);
+
+impl Default for FoldHasher {
+    fn default() -> Self {
+        FoldHasher(0x243f_6a88_85a3_08d3)
+    }
+}
 
 impl FoldHasher {
     #[inline]

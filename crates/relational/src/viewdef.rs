@@ -8,12 +8,14 @@
 //! to positions at build time.
 
 use crate::catalog::Catalog;
+use crate::eval::JoinPlan;
 use crate::expr::Expr;
 use crate::schema::{Attribute, RelationName, Schema, SchemaError};
 use crate::tuple::Tuple;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Name of a warehouse view.
@@ -86,18 +88,88 @@ pub struct SpjCore {
     /// Projection expressions (resolved). Empty means identity projection.
     pub projection: Vec<Expr>,
     /// The qualified join (pre-projection) schema.
-    pub join_schema: Schema,
+    pub join_schema: Arc<Schema>,
     /// Output schema after projection.
-    pub output_schema: Schema,
+    pub output_schema: Arc<Schema>,
     /// Start offset of each source's attributes within `join_schema`.
     pub offsets: Vec<usize>,
+    /// Schema of each source occurrence: `join_schema` restricted to the
+    /// occurrence's positions. Built once per definition, so delta rows,
+    /// mirrors and auxiliary copies share it instead of re-projecting.
+    occurrence_schemas: Vec<Arc<Schema>>,
+    /// One join plan per starting occurrence (see [`crate::eval`]).
+    plans: Vec<JoinPlan>,
+}
+
+impl SpjCore {
+    fn new(
+        sources: Vec<RelationName>,
+        predicate: Expr,
+        projection: Vec<Expr>,
+        join_schema: Schema,
+        output_schema: Arc<Schema>,
+        offsets: Vec<usize>,
+    ) -> Self {
+        let mut core = SpjCore {
+            sources,
+            predicate,
+            projection,
+            join_schema: Arc::new(join_schema),
+            output_schema,
+            offsets,
+            occurrence_schemas: Vec::new(),
+            plans: Vec::new(),
+        };
+        core.occurrence_schemas = (0..core.sources.len())
+            .map(|k| {
+                let positions: Vec<usize> = core.occurrence_range(k).collect();
+                Arc::new(core.join_schema.project(&positions).expect("range valid"))
+            })
+            .collect();
+        core.plans = (0..core.sources.len())
+            .map(|k| JoinPlan::new(&core, k))
+            .collect();
+        core
+    }
+
+    /// Positions of occurrence `k`'s attributes within the join schema.
+    pub fn occurrence_range(&self, k: usize) -> Range<usize> {
+        let hi = self
+            .offsets
+            .get(k + 1)
+            .copied()
+            .unwrap_or_else(|| self.join_schema.arity());
+        self.offsets[k]..hi
+    }
+
+    /// Schema of source occurrence `k` (qualified attribute names).
+    pub fn occurrence_schema(&self, k: usize) -> &Arc<Schema> {
+        &self.occurrence_schemas[k]
+    }
+
+    /// The join plan starting at occurrence `start`.
+    pub(crate) fn plan(&self, start: usize) -> Option<&JoinPlan> {
+        self.plans.get(start)
+    }
+
+    /// Every (relation, column list) a join from some starting occurrence
+    /// probes — the indexes a source should keep for this view's delta
+    /// queries. May repeat a pair; registration is idempotent.
+    pub fn join_indexes(&self) -> impl Iterator<Item = (&RelationName, &[usize])> {
+        self.plans
+            .iter()
+            .flat_map(JoinPlan::probed)
+            .map(|(occ, cols)| (&self.sources[occ], cols))
+    }
 }
 
 /// A complete view definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ViewDef {
     pub name: ViewName,
-    pub core: SpjCore,
+    /// Shared: every query a view manager sends carries it, and every
+    /// manager and deployment holding the definition reads it.
+    pub core: Arc<SpjCore>,
     /// Group-by expressions over the *core output* schema; only meaningful
     /// when `aggregates` is non-empty.
     pub group_by: Vec<Expr>,
@@ -158,52 +230,12 @@ impl ViewDef {
     /// tuple is irrelevant when, for every occurrence of `rel` in the join,
     /// some selection conjunct local to that occurrence rejects it.
     pub fn relevant_tuple(&self, rel: &RelationName, tuple: &Tuple) -> bool {
-        let mut found = false;
-        for (k, src) in self.core.sources.iter().enumerate() {
-            if src != rel {
-                continue;
-            }
-            found = true;
-            if self.occurrence_accepts(k, tuple) {
-                return true;
-            }
-        }
-        // relation not in the view at all → irrelevant
-        if !found {
-            return false;
-        }
-        false
-    }
-
-    /// True when `tuple`, placed at source occurrence `k`, passes every
-    /// predicate conjunct that reads only that occurrence's columns.
-    fn occurrence_accepts(&self, k: usize, tuple: &Tuple) -> bool {
-        let lo = self.core.offsets[k];
-        let hi = lo + tuple.arity();
-        for conj in conjuncts(&self.core.predicate) {
-            let cols = conj.columns();
-            if cols.is_empty() {
-                continue;
-            }
-            if cols.iter().all(|&c| c >= lo && c < hi) {
-                let local = conj
-                    .remap_columns(&|c| {
-                        if (lo..hi).contains(&c) {
-                            Some(c - lo)
-                        } else {
-                            None
-                        }
-                    })
-                    .expect("columns checked local");
-                match local.matches(tuple) {
-                    Ok(true) => {}
-                    // rejected or evaluation error → this occurrence cannot
-                    // derive anything from the tuple
-                    _ => return false,
-                }
-            }
-        }
-        true
+        self.core
+            .sources
+            .iter()
+            .enumerate()
+            .filter(|(_, src)| *src == rel)
+            .any(|(k, _)| self.core.plans[k].accepts(tuple))
     }
 }
 
@@ -352,14 +384,15 @@ impl ViewDefBuilder {
             }
         };
 
-        let core = SpjCore {
-            sources: self.sources,
+        let output_schema = Arc::new(output_schema);
+        let core = Arc::new(SpjCore::new(
+            self.sources,
             predicate,
             projection,
             join_schema,
-            output_schema: output_schema.clone(),
+            output_schema.clone(),
             offsets,
-        };
+        ));
 
         // Aggregates resolve against the core *output* schema.
         if self.aggregates.is_empty() {
@@ -370,7 +403,7 @@ impl ViewDefBuilder {
             }
             return Ok(ViewDef {
                 name: self.name,
-                schema: Arc::new(output_schema),
+                schema: output_schema,
                 core,
                 group_by: Vec::new(),
                 aggregates: Vec::new(),

@@ -11,7 +11,8 @@
 
 use crate::update::{GlobalSeq, RelationChange, SourceId, SourceUpdate, WriteOp};
 use mvc_relational::{
-    Catalog, Database, Delta, Relation, RelationName, Schema, SchemaError, StateProvider,
+    Catalog, Database, Delta, JoinIndex, Relation, RelationName, Schema, SchemaError, SpjCore,
+    StateProvider,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -74,6 +75,19 @@ struct RelationLog {
     deltas: BTreeMap<GlobalSeq, Delta>,
     /// Changes since the last checkpoint.
     since_checkpoint: usize,
+}
+
+impl RelationLog {
+    /// Is the relation at `seq` its current state — no commit after `seq`
+    /// touched it? The one test deciding when an as-of read may use the
+    /// live relation, and with it the live join indexes.
+    fn current_at(&self, seq: GlobalSeq) -> bool {
+        use std::ops::Bound::{Excluded, Unbounded};
+        self.deltas
+            .range((Excluded(seq), Unbounded))
+            .next()
+            .is_none()
+    }
 }
 
 /// The simulated source cluster.
@@ -291,14 +305,9 @@ impl SourceCluster {
         rel: &RelationName,
         seq: GlobalSeq,
     ) -> Option<Cow<'_, Relation>> {
-        use std::ops::Bound::{Excluded, Included, Unbounded};
+        use std::ops::Bound::{Excluded, Included};
         let log = self.logs.get(rel)?;
-        if log
-            .deltas
-            .range((Excluded(seq), Unbounded))
-            .next()
-            .is_none()
-        {
+        if log.current_at(seq) {
             return self.current.relation(rel).map(Cow::Borrowed);
         }
         let (&ck_seq, snapshot) = log.checkpoints.range(..=seq).next_back()?;
@@ -330,6 +339,14 @@ impl SourceCluster {
         &self.current
     }
 
+    /// Keep, on the live relations, the join indexes the delta queries
+    /// of `core` probe ([`SpjCore::join_indexes`]) — as the WHIPS
+    /// sources' DBMSs indexed their join columns. Called for every view
+    /// when a deployment is built or a view is installed; idempotent.
+    pub fn index_join_columns(&mut self, core: &SpjCore) {
+        self.current.index_join_columns(core);
+    }
+
     /// Reconstruct the full database at `ss_seq` (oracle use).
     pub fn database_as_of(&self, seq: GlobalSeq) -> Database {
         let mut db = Database::new();
@@ -352,6 +369,17 @@ pub struct AsOfProvider<'a> {
 impl StateProvider for AsOfProvider<'_> {
     fn fetch(&self, name: &RelationName) -> Option<Cow<'_, Relation>> {
         self.cluster.relation_as_of_ref(name, self.seq)
+    }
+
+    /// The live index, exactly when [`SourceCluster::relation_as_of_ref`]
+    /// would lend the live relation; a historical state gets none.
+    fn index(&self, name: &RelationName, cols: &[usize]) -> Option<&JoinIndex> {
+        let log = self.cluster.logs.get(name)?;
+        if log.current_at(self.seq) {
+            self.cluster.current.index(name, cols)
+        } else {
+            None
+        }
     }
 }
 
@@ -522,6 +550,57 @@ mod tests {
         let p2 = c.as_of(GlobalSeq(2));
         assert!(p2.fetch(&"R".into()).unwrap().is_empty());
         assert!(p2.fetch(&"Z".into()).is_none());
+    }
+
+    /// The live join index is lent exactly where the live relation is: a
+    /// state no later commit touched. A historical `seq` gets none, so its
+    /// queries hash the reconstructed rows instead.
+    #[test]
+    fn as_of_lends_the_live_index_only_at_current_states() {
+        use mvc_relational::{StateProvider, ViewDef};
+        let mut c = cluster();
+        let core = ViewDef::builder("V")
+            .from("R")
+            .from("S")
+            .join_on("R.b", "S.b")
+            .build(c.catalog())
+            .unwrap()
+            .core;
+        c.index_join_columns(&core);
+        let (r, s): (RelationName, RelationName) = ("R".into(), "S".into());
+        c.execute(SourceId(0), vec![WriteOp::insert("R", tuple![1, 2])])
+            .unwrap();
+        c.execute(SourceId(1), vec![WriteOp::insert("S", tuple![2, 3])])
+            .unwrap();
+        c.execute(SourceId(0), vec![WriteOp::delete("R", tuple![1, 2])])
+            .unwrap();
+        for seq in 0..=3 {
+            let at = c.as_of(GlobalSeq(seq));
+            let live_r = matches!(at.fetch(&r), Some(Cow::Borrowed(x)) if std::ptr::eq(x, c.relation_current(&r).unwrap()));
+            assert_eq!(at.index(&r, &[1]).is_some(), seq >= 3, "R at {seq}");
+            assert_eq!(at.index(&r, &[1]).is_some(), live_r, "R at {seq}");
+            assert_eq!(at.index(&s, &[0]).is_some(), seq >= 2, "S at {seq}");
+            assert!(at.index(&s, &[1]).is_none(), "never registered");
+        }
+        // At seq 2, R still holds [1, 2]: a query there must see it, which
+        // the live index (R already deleted it) would not.
+        let at2 = c.as_of(GlobalSeq(2));
+        let s_row = tuple![2, 3];
+        let joined = mvc_relational::eval_join(&core, 1, [(&s_row, 1)], |_| {
+            mvc_relational::JoinInput::State(&at2)
+        });
+        assert_eq!(joined.unwrap().to_tuples(), vec![tuple![1, 2, 2, 3]]);
+        let live = c.current();
+        assert!(live
+            .index(&r, &[1])
+            .unwrap()
+            .agrees_with(live.relation(&r).unwrap()));
+        assert!(live
+            .index(&r, &[1])
+            .unwrap()
+            .get(&[mvc_relational::Value::Int(2)])
+            .next()
+            .is_none());
     }
 
     #[test]

@@ -138,7 +138,7 @@ mod tests {
             .project(["R.a", "R.b", "S.c"])
             .build(c.catalog())
             .unwrap();
-        (c, v.core)
+        (c, (*v.core).clone())
     }
 
     #[test]

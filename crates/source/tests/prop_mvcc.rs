@@ -71,7 +71,7 @@ proptest! {
         for u in c.history() {
             for ch in &u.changes {
                 ch.delta
-                    .apply_to(replay.relation_mut(&ch.relation).unwrap())
+                    .apply_to(&mut replay.relation_mut(&ch.relation).unwrap())
                     .unwrap();
             }
             for name in ["R", "S"] {

@@ -83,7 +83,7 @@ impl CompleteVm {
             return;
         };
         let def = self.mat.def();
-        let changes = u.changes_for(&def.base_relations());
+        let changes = u.changes_for(self.mat.base_relations());
         if changes.is_empty() {
             // The update touched none of our base relations at the tuple
             // level that survives filtering — still answer with an empty
@@ -151,7 +151,7 @@ impl ViewManager for CompleteVm {
     }
 
     fn initialize(&mut self, provider: &dyn mvc_relational::StateProvider) -> Result<(), VmError> {
-        let core = mvc_relational::eval_core(&self.mat.def().core.clone(), provider)?;
+        let core = mvc_relational::eval_core(&self.mat.def().core, provider)?;
         self.mat = MaterializedView::from_core(self.mat.def().clone(), core)?;
         Ok(())
     }

@@ -68,10 +68,10 @@ impl CompleteNVm {
             .expect("non-empty")
             .max(old);
         self.last_covered = Some(new);
-        let base = self.mat.def().base_relations();
+        let base = self.mat.base_relations();
         let mut changes: BTreeMap<RelationName, Delta> = BTreeMap::new();
         for m in &members {
-            for (rel, d) in m.changes_for(&base) {
+            for (rel, d) in m.changes_for(base) {
                 changes.entry(rel).or_default().merge(&d);
             }
         }
@@ -134,7 +134,7 @@ impl ViewManager for CompleteNVm {
     }
 
     fn initialize(&mut self, provider: &dyn mvc_relational::StateProvider) -> Result<(), VmError> {
-        let core = mvc_relational::eval_core(&self.mat.def().core.clone(), provider)?;
+        let core = mvc_relational::eval_core(&self.mat.def().core, provider)?;
         self.mat = MaterializedView::from_core(self.mat.def().clone(), core)?;
         // batches after installation start from the load state
         self.last_covered = None;

@@ -105,7 +105,7 @@ impl ViewManager for ConvergentVm {
         match event {
             VmEvent::Update(u) => {
                 self.last_update = u.id;
-                let changes = u.changes_for(&self.mat.def().base_relations());
+                let changes = u.changes_for(self.mat.base_relations());
                 if !changes.is_empty() {
                     self.issue(
                         Kind::Estimate(u.id),
@@ -154,7 +154,7 @@ impl ViewManager for ConvergentVm {
     }
 
     fn initialize(&mut self, provider: &dyn mvc_relational::StateProvider) -> Result<(), VmError> {
-        let core = mvc_relational::eval_core(&self.mat.def().core.clone(), provider)?;
+        let core = mvc_relational::eval_core(&self.mat.def().core, provider)?;
         self.mat = MaterializedView::from_core(self.mat.def().clone(), core)?;
         Ok(())
     }

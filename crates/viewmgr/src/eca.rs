@@ -22,13 +22,13 @@
 //! self-joins, no aggregates, single-relation updates, set semantics —
 //! the setting of the original ECA paper.
 
-use crate::join_mirror::{fetch_sources, occurrence_schema, subtract_segment, JoinMirror};
+use crate::join_mirror::{fetch_sources, subtract_segment, JoinMirror};
 use crate::protocol::{
     NumberedUpdate, QueryAnswer, QueryRequest, QueryToken, ViewManager, VmError, VmEvent, VmOutput,
 };
 use mvc_core::{ActionList, ConsistencyLevel, ViewId};
 use mvc_relational::{
-    eval_join_with, project_delta, Delta, Relation, RelationName, Tuple, TupleOp, ViewDef,
+    eval_join, project_delta, Delta, JoinInput, Relation, RelationName, Tuple, TupleOp, ViewDef,
 };
 use mvc_source::GlobalSeq;
 use std::collections::{BTreeMap, VecDeque};
@@ -127,15 +127,12 @@ impl EcaVm {
     /// Local join of one tuple per occurrence (exact for 2-way joins).
     fn join_pair(&self, rel: &RelationName, t: &Tuple, other: &Tuple) -> Relation {
         let k = self.occurrence_of(rel);
-        let mut rels = vec![
-            Relation::new(occurrence_schema(&self.def.core, 0)),
-            Relation::new(occurrence_schema(&self.def.core, 1)),
-        ];
-        rels[k].insert(t.clone()).expect("tuple fits occurrence");
-        rels[1 - k]
+        let mut partner = Relation::shared(self.def.core.occurrence_schema(1 - k).clone());
+        partner
             .insert(other.clone())
             .expect("tuple fits occurrence");
-        eval_join_with(&self.def.core, &rels).expect("local pair join")
+        eval_join(&self.def.core, k, [(t, 1)], |_| JoinInput::Rows(&partner))
+            .expect("local pair join")
     }
 
     /// Emit every head-of-queue update whose answers are all in.
@@ -269,7 +266,8 @@ impl ViewManager for EcaVm {
                                 let token = QueryToken(self.next_token);
                                 self.next_token += 1;
                                 let k = self.occurrence_of(&change.relation);
-                                let mut rows = Relation::new(occurrence_schema(&self.def.core, k));
+                                let mut rows =
+                                    Relation::shared(self.def.core.occurrence_schema(k).clone());
                                 rows.insert(t.clone())
                                     .map_err(mvc_relational::EvalError::from)?;
                                 out.push(VmOutput::Query {

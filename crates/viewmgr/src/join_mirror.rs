@@ -11,31 +11,13 @@
 //! relations that no query-back manager mirrors pay nothing for it.
 
 use mvc_relational::{
-    eval_join_with, Delta, EvalError, Relation, Schema, SchemaError, SpjCore, StateProvider, Tuple,
-    Value,
+    eval_join, Delta, EvalError, JoinInput, Relation, Schema, SchemaError, SpjCore, StateProvider,
+    Tuple, Value,
 };
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Position range of occurrence `k`'s attributes within the join schema.
-fn occurrence_range(core: &SpjCore, k: usize) -> Range<usize> {
-    let hi = core
-        .offsets
-        .get(k + 1)
-        .copied()
-        .unwrap_or_else(|| core.join_schema.arity());
-    core.offsets[k]..hi
-}
-
-/// Schema of one source occurrence (the join schema restricted to its
-/// position range).
-pub(crate) fn occurrence_schema(core: &SpjCore, k: usize) -> Schema {
-    core.join_schema
-        .project(&occurrence_range(core, k).collect::<Vec<_>>())
-        .expect("occurrence range valid")
-}
 
 /// The base relations a view reads, one per occurrence, at the state
 /// `provider` serves.
@@ -75,8 +57,8 @@ type SegmentIndex = HashMap<Vec<Value>, BTreeSet<Tuple>>;
 pub(crate) struct JoinMirror {
     rows: Relation,
     /// Per occurrence: its position range in a join tuple and the schema
-    /// of a relation holding just that range (computed once — a manager
-    /// builds one such relation per insert it queries for).
+    /// of a relation holding just that range (the core's shared handle —
+    /// a manager builds one such relation per insert it queries for).
     occurrences: Vec<(Range<usize>, Arc<Schema>)>,
     /// `by_segment[k]` indexes `rows` by occurrence `k`'s segment. Kept in
     /// step by [`JoinMirror::apply`], and only where a tuple's presence
@@ -88,15 +70,10 @@ impl JoinMirror {
     /// Empty mirror over `core`'s join schema.
     pub(crate) fn new(core: &SpjCore) -> Self {
         let occurrences: Vec<_> = (0..core.sources.len())
-            .map(|k| {
-                (
-                    occurrence_range(core, k),
-                    Arc::new(occurrence_schema(core, k)),
-                )
-            })
+            .map(|k| (core.occurrence_range(k), core.occurrence_schema(k).clone()))
             .collect();
         JoinMirror {
-            rows: Relation::new(core.join_schema.clone()),
+            rows: Relation::shared(core.join_schema.clone()),
             by_segment: vec![SegmentIndex::new(); occurrences.len()],
             occurrences,
         }
@@ -123,7 +100,9 @@ impl JoinMirror {
         core: &SpjCore,
         sources: &[Cow<'_, Relation>],
     ) -> Result<(), EvalError> {
-        self.rows = eval_join_with(core, sources)?;
+        self.rows = eval_join(core, 0, sources[0].iter_counted(), |m| {
+            JoinInput::Rows(&sources[m])
+        })?;
         self.by_segment = self.index_from_scratch();
         Ok(())
     }
@@ -226,6 +205,8 @@ mod tests {
             .build(&cat)
             .unwrap()
             .core
+            .as_ref()
+            .clone()
     }
 
     fn delta(changes: &[(Tuple, i64)]) -> Delta {
@@ -237,10 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_schema_is_the_segment_of_the_join_schema() {
+    fn occurrences_are_the_segments_of_the_join_schema() {
         let core = core();
-        assert_eq!(occurrence_schema(&core, 0).arity(), 2);
-        assert_eq!(occurrence_schema(&core, 1).arity(), 2);
+        assert_eq!(core.occurrence_schema(0).arity(), 2);
+        assert_eq!(core.occurrence_schema(1).arity(), 2);
         let m = JoinMirror::new(&core);
         assert_eq!((m.offset(0), m.offset(1)), (0, 2));
         assert!(m.occurrence_relation(1).insert_n(tuple![2, 3], 1).is_ok());
@@ -305,7 +286,7 @@ mod tests {
 
     #[test]
     fn subtract_segment_removes_every_copy() {
-        let mut rows = Relation::new(core().join_schema);
+        let mut rows = Relation::shared(core().join_schema);
         rows.insert_n(tuple![1, 2, 2, 3], 2).unwrap();
         rows.insert(tuple![1, 2, 2, 4]).unwrap();
         subtract_segment(&mut rows, 2, &tuple![2, 3]);

@@ -2,8 +2,10 @@
 //! for aggregate views, the derived aggregate layer.
 
 use mvc_relational::{
-    diff, eval::aggregate, maintain::aggregate_delta, Delta, EvalError, Relation, ViewDef,
+    diff, eval::aggregate, maintain::aggregate_delta, Delta, EvalError, Relation, RelationName,
+    ViewDef,
 };
+use std::collections::BTreeSet;
 
 /// A view manager's local copy of its view: the core-output relation and
 /// (for aggregate views) the aggregate output. Converts core-level deltas
@@ -12,6 +14,9 @@ use mvc_relational::{
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     def: ViewDef,
+    /// `def.base_relations()`, built once: managers filter every update
+    /// by it.
+    base: BTreeSet<RelationName>,
     core: Relation,
     view: Relation,
 }
@@ -19,9 +24,15 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Empty materialization (view at `ss_0` when sources start empty).
     pub fn new(def: ViewDef) -> Self {
-        let core = Relation::new(def.core.output_schema.clone());
+        let core = Relation::shared(def.core.output_schema.clone());
         let view = Relation::shared(def.schema.clone());
-        MaterializedView { def, core, view }
+        let base = def.base_relations();
+        MaterializedView {
+            def,
+            base,
+            core,
+            view,
+        }
     }
 
     /// Materialization from explicit initial core contents.
@@ -31,11 +42,22 @@ impl MaterializedView {
         } else {
             core.clone()
         };
-        Ok(MaterializedView { def, core, view })
+        let base = def.base_relations();
+        Ok(MaterializedView {
+            def,
+            base,
+            core,
+            view,
+        })
     }
 
     pub fn def(&self) -> &ViewDef {
         &self.def
+    }
+
+    /// The distinct base relations the view reads.
+    pub fn base_relations(&self) -> &BTreeSet<RelationName> {
+        &self.base
     }
 
     pub fn core(&self) -> &Relation {

@@ -126,7 +126,7 @@ impl ViewManager for PeriodicVm {
     }
 
     fn initialize(&mut self, provider: &dyn mvc_relational::StateProvider) -> Result<(), VmError> {
-        let core = mvc_relational::eval_core(&self.mat.def().core.clone(), provider)?;
+        let core = mvc_relational::eval_core(&self.mat.def().core, provider)?;
         self.mat = MaterializedView::from_core(self.mat.def().clone(), core)?;
         Ok(())
     }

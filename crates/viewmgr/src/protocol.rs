@@ -9,8 +9,8 @@
 
 use mvc_core::{ActionList, UpdateId, ViewId};
 use mvc_relational::{
-    eval_core, eval_join_with, maintain::spj_delta, Delta, EvalError, Relation, RelationName,
-    SpjCore, StateProvider,
+    eval_core, eval_join, maintain::spj_delta, Delta, EvalError, JoinInput, Relation, RelationName,
+    SpjCore,
 };
 use mvc_source::{GlobalSeq, SourceCluster, SourceUpdate};
 use serde::{Deserialize, Serialize};
@@ -75,36 +75,38 @@ impl fmt::Display for QueryToken {
 }
 
 /// Queries a view manager can send "back to the sources" (§1, problem 2).
+/// Each carries the view's core by `Arc` — the definition's own handle,
+/// so issuing a query never copies it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QueryRequest {
     /// Exact core-output delta between two past states, given the
     /// intervening per-relation changes. Answered from the MVCC log;
     /// complete and complete-N managers use this.
     DeltaAsOf {
-        core: SpjCore,
+        core: Arc<SpjCore>,
         old: GlobalSeq,
         new: GlobalSeq,
         changes: BTreeMap<RelationName, Delta>,
     },
     /// Full core-output contents at a past state (periodic refresh).
-    EvalAsOf { core: SpjCore, seq: GlobalSeq },
+    EvalAsOf { core: Arc<SpjCore>, seq: GlobalSeq },
     /// Core-output delta evaluated entirely at the *current* state — the
     /// uncompensated estimate a merely-convergent manager applies.
     DeltaCurrent {
-        core: SpjCore,
+        core: Arc<SpjCore>,
         changes: BTreeMap<RelationName, Delta>,
     },
     /// Join-level (pre-projection) evaluation at the current state with
     /// one source occurrence substituted by explicit rows — the Strobe
     /// insert query `V⟨t⟩`.
     JoinCurrentWith {
-        core: SpjCore,
+        core: Arc<SpjCore>,
         occurrence: usize,
         rows: Relation,
     },
     /// Full core-output contents at the current state (convergent
     /// correction pass).
-    EvalCurrent { core: SpjCore },
+    EvalCurrent { core: Arc<SpjCore> },
 }
 
 /// Answers to [`QueryRequest`]s.
@@ -136,32 +138,19 @@ pub fn answer_query(cluster: &SourceCluster, req: &QueryRequest) -> Result<Query
             *seq,
         )),
         QueryRequest::DeltaCurrent { core, changes } => {
-            let now = cluster.latest_seq();
-            let provider = cluster.as_of(now);
-            let d = spj_delta(core, &provider, &provider, changes)?;
-            Ok(QueryAnswer::Delta(d))
+            let now = cluster.current();
+            Ok(QueryAnswer::Delta(spj_delta(core, now, now, changes)?))
         }
         QueryRequest::JoinCurrentWith {
             core,
             occurrence,
             rows,
         } => {
-            let now = cluster.latest_seq();
-            let provider = cluster.as_of(now);
-            let mut rels: Vec<std::borrow::Cow<'_, Relation>> =
-                Vec::with_capacity(core.sources.len());
-            for (k, src) in core.sources.iter().enumerate() {
-                if k == *occurrence {
-                    rels.push(std::borrow::Cow::Borrowed(rows));
-                } else {
-                    rels.push(
-                        provider
-                            .fetch(src)
-                            .ok_or_else(|| EvalError::MissingRelation(src.clone()))?,
-                    );
-                }
-            }
-            Ok(QueryAnswer::Rows(eval_join_with(core, &rels)?, now))
+            let now = cluster.current();
+            let joined = eval_join(core, *occurrence, rows.iter_counted(), |_| {
+                JoinInput::State(now)
+            })?;
+            Ok(QueryAnswer::Rows(joined, cluster.latest_seq()))
         }
         QueryRequest::EvalCurrent { core } => {
             let now = cluster.latest_seq();

@@ -13,18 +13,21 @@
 //! contribute to any derivation; the delta rule is unaffected (such
 //! tuples pass no occurrence-local selection, so they join into nothing).
 
-use crate::join_mirror::occurrence_schema;
 use crate::materialized::MaterializedView;
 use crate::protocol::{NumberedUpdate, ViewManager, VmError, VmEvent, VmOutput};
 use mvc_core::{ActionList, ConsistencyLevel, ViewId};
-use mvc_relational::{maintain::spj_delta, Database, Relation, ViewDef};
+use mvc_relational::{
+    maintain::spj_delta, Database, Delta, EvalError, Overlay, Relation, RelationName, ViewDef,
+};
+use std::collections::BTreeMap;
 
 /// Self-maintaining view manager.
 #[derive(Debug)]
 pub struct SelfMaintVm {
     id: ViewId,
     mat: MaterializedView,
-    /// Auxiliary copies of the base relations.
+    /// Auxiliary copies of the base relations, indexed on the view's
+    /// join columns like the sources themselves.
     aux: Database,
 }
 
@@ -35,9 +38,11 @@ impl SelfMaintVm {
         let mut aux = Database::new();
         for (k, rel) in def.core.sources.iter().enumerate() {
             if aux.relation(rel).is_none() {
-                aux.insert_relation(rel.clone(), Relation::new(occurrence_schema(&def.core, k)));
+                let schema = def.core.occurrence_schema(k).clone();
+                aux.insert_relation(rel.clone(), Relation::shared(schema));
             }
         }
+        aux.index_join_columns(&def.core);
         SelfMaintVm {
             id,
             mat: MaterializedView::new(def),
@@ -95,7 +100,7 @@ impl ViewManager for SelfMaintVm {
                 .map_err(VmError::Eval)?;
             self.aux.insert_relation(name, rel.into_owned());
         }
-        let core = mvc_relational::eval_core(&self.mat.def().core.clone(), &self.aux)?;
+        let core = mvc_relational::eval_core(&self.mat.def().core, &self.aux)?;
         self.mat = MaterializedView::from_core(self.mat.def().clone(), core)?;
         Ok(())
     }
@@ -106,20 +111,43 @@ impl ViewManager for SelfMaintVm {
 }
 
 impl SelfMaintVm {
-    fn process(
-        &mut self,
-        u: &NumberedUpdate,
-    ) -> Result<ActionList<mvc_relational::Delta>, VmError> {
-        let changes = u.changes_for(&self.mat.def().base_relations());
-        // New auxiliary state.
-        let mut new_aux = self.aux.clone();
+    /// Apply the update to the auxiliary copies in place, then take the
+    /// delta rule over them. The rule's term for an occurrence reads the
+    /// occurrences after it at the pre-update state; that differs from
+    /// the post-update one only for a relation that changed *and* occurs
+    /// after some changed occurrence (a self-join, or a multi-relation
+    /// update). Only such relations are copied beforehand, and served
+    /// from the copy through an [`Overlay`].
+    fn process(&mut self, u: &NumberedUpdate) -> Result<ActionList<Delta>, VmError> {
+        let changes = u.changes_for(self.mat.base_relations());
+        let core = &self.mat.def().core;
         for (rel, d) in &changes {
-            new_aux
-                .apply(rel, d)
-                .map_err(mvc_relational::EvalError::from)?;
+            let schema = self.aux.relation(rel).map(Relation::schema);
+            d.check_against(schema.ok_or_else(|| EvalError::MissingRelation(rel.clone()))?)
+                .map_err(EvalError::from)?;
         }
-        let core_delta = spj_delta(&self.mat.def().core, &self.aux, &new_aux, &changes)?;
-        self.aux = new_aux;
+        let first_changed = core.sources.iter().position(|s| changes.contains_key(s));
+        let mut before: BTreeMap<RelationName, Relation> = BTreeMap::new();
+        for (m, rel) in core.sources.iter().enumerate() {
+            if first_changed.is_some_and(|k| m > k)
+                && changes.contains_key(rel)
+                && !before.contains_key(rel)
+            {
+                let old = self.aux.relation(rel).expect("checked above").clone();
+                before.insert(rel.clone(), old);
+            }
+        }
+        for (rel, d) in &changes {
+            self.aux.apply(rel, d).map_err(EvalError::from)?;
+        }
+        let core_delta = if before.is_empty() {
+            spj_delta(core, &self.aux, &self.aux, &changes)?
+        } else {
+            let old = before
+                .into_iter()
+                .fold(Overlay::new(&self.aux), |o, (rel, r)| o.replace(rel, r));
+            spj_delta(core, &old, &self.aux, &changes)?
+        };
         let view_delta = self.mat.apply_core_delta(&core_delta)?;
         Ok(ActionList::single(self.id, u.id, view_delta))
     }

@@ -298,7 +298,6 @@ impl ViewManager for StrobeVm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join_mirror::occurrence_schema;
     use crate::protocol::NumberedUpdate;
     use mvc_relational::{tuple, Schema};
     use mvc_source::{SourceCluster, SourceId, SourceUpdate, WriteOp};
@@ -671,7 +670,10 @@ mod tests {
             let sources = fetch_sources(&def.core, provider).unwrap();
             ReferenceStrobe {
                 id,
-                mirror: mvc_relational::eval_join_with(&def.core, &sources).unwrap(),
+                mirror: mvc_relational::eval_join(&def.core, 0, sources[0].iter_counted(), |m| {
+                    mvc_relational::JoinInput::Rows(&sources[m])
+                })
+                .unwrap(),
                 def,
                 pending: Delta::new(),
                 batch_first: None,
@@ -737,7 +739,8 @@ mod tests {
                                 });
                             }
                             if n > 0 {
-                                let mut rows = Relation::new(occurrence_schema(&self.def.core, k));
+                                let mut rows =
+                                    Relation::shared(self.def.core.occurrence_schema(k).clone());
                                 rows.insert_n(t.clone(), n as u64).unwrap();
                                 let token = QueryToken(self.next_token);
                                 self.next_token += 1;

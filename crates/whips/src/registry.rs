@@ -3,6 +3,7 @@
 
 use mvc_core::{ConsistencyLevel, Partitioning, ViewId};
 use mvc_relational::{RelationName, ViewDef};
+use mvc_source::SourceCluster;
 use mvc_viewmgr::{
     CompleteNVm, CompleteVm, ConvergentVm, EcaVm, PeriodicVm, SelfMaintVm, StrobeVm, ViewManager,
     VmError,
@@ -127,6 +128,16 @@ impl ViewRegistry {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Have `cluster` keep the join indexes every registered view's
+    /// delta queries probe. Every deployment builder (sim, threaded,
+    /// pipeline) and recovery call it on the cluster they run against;
+    /// a dynamic install indexes its one view the same way.
+    pub fn index_sources(&self, cluster: &mut SourceCluster) {
+        for e in self.entries.values() {
+            cluster.index_join_columns(&e.def.core);
+        }
     }
 
     /// Views whose manager kind recovers by delivery replay (see

@@ -871,6 +871,7 @@ impl Machine<SimDriver> {
 
         // New view manager (state loaded at the cut) and an empty
         // warehouse slot (the install AL fills it transactionally).
+        self.cluster.index_join_columns(&spec.def.core);
         let mut vm = spec.kind.build(spec.id, spec.def.clone())?;
         vm.initialize(&self.cluster.as_of(cut_seq))?;
         let replay = spec.kind.needs_delivery_replay();
@@ -981,8 +982,10 @@ impl Sim {
             .flat_map(|(at, specs)| specs.into_iter().map(move |spec| (at, spec)))
             .collect();
 
+        let mut cluster = b.cluster;
+        b.registry.index_sources(&mut cluster);
         let mut m = Machine::new(
-            b.cluster,
+            cluster,
             assembly,
             b.workload,
             c.commit_reorder_depth,
@@ -1244,6 +1247,12 @@ impl Sim {
             driver.open_updates.insert(seq, Some(n));
         }
 
+        let mut cluster = cluster;
+        state
+            .assembly
+            .integrator
+            .registry()
+            .index_sources(&mut cluster);
         let mut m = Machine::new(
             cluster,
             state.assembly,

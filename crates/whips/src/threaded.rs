@@ -1093,6 +1093,8 @@ fn run_threaded(b: ThreadedBuilder) -> Result<(SimReport, WallClock), SimError> 
     let (net, inboxes) = Net::wire(views, assembly.mps.len(), topology.shards());
     let net = Arc::new(net);
     let shards = open_shards(&config, &assembly.integrator, &topology, &wals, &net);
+    let mut cluster = cluster;
+    registry.index_sources(&mut cluster);
     let cluster = Arc::new(AuditedMutex::new("whips.cluster", cluster));
     // Driver-side batcher for the src→int channel. Sequential mode needs
     // per-update sends: the driver waits for quiescence between

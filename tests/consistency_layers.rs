@@ -48,7 +48,7 @@ fn source_layer_serializable_history() {
     for u in cluster.history() {
         for c in &u.changes {
             c.delta
-                .apply_to(replay.relation_mut(&c.relation).unwrap())
+                .apply_to(&mut replay.relation_mut(&c.relation).unwrap())
                 .unwrap();
         }
         let reconstructed = cluster.database_as_of(u.seq);
