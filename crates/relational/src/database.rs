@@ -40,13 +40,24 @@ pub trait StateProvider {
 /// [`Database::relation_mut`]) and ignored by equality.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Database {
-    relations: BTreeMap<RelationName, Relation>,
-    indexes: BTreeMap<RelationName, Vec<JoinIndex>>,
+    relations: BTreeMap<RelationName, Stored>,
+}
+
+/// A relation and its join indexes, under one name lookup.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Stored {
+    rel: Relation,
+    indexes: Vec<JoinIndex>,
 }
 
 impl PartialEq for Database {
     fn eq(&self, other: &Self) -> bool {
-        self.relations == other.relations
+        self.relations.len() == other.relations.len()
+            && self
+                .relations
+                .iter()
+                .zip(&other.relations)
+                .all(|((a, x), (b, y))| a == b && x.rel == y.rel)
     }
 }
 
@@ -60,8 +71,7 @@ impl Database {
         let mut db = Database::new();
         for name in catalog.names() {
             let schema = catalog.schema(name).expect("name from iterator");
-            db.relations
-                .insert(name.clone(), Relation::new(schema.clone()));
+            db.insert_relation(name.clone(), Relation::new(schema.clone()));
         }
         db
     }
@@ -70,16 +80,22 @@ impl Database {
     /// rebuilt over the new contents.
     pub fn insert_relation(&mut self, name: impl Into<RelationName>, rel: Relation) {
         let name = name.into();
-        if let Some(indexes) = self.indexes.get_mut(&name) {
-            for ix in indexes.iter_mut() {
-                *ix = JoinIndex::build(&rel, ix.cols());
+        match self.relations.get_mut(&name) {
+            Some(stored) => {
+                for ix in stored.indexes.iter_mut() {
+                    *ix = JoinIndex::build(&rel, ix.cols());
+                }
+                stored.rel = rel;
+            }
+            None => {
+                let indexes = Vec::new();
+                self.relations.insert(name, Stored { rel, indexes });
             }
         }
-        self.relations.insert(name, rel);
     }
 
     pub fn relation(&self, name: &RelationName) -> Option<&Relation> {
-        self.relations.get(name)
+        self.relations.get(name).map(|s| &s.rel)
     }
 
     /// Direct mutable access to a relation. The guard rebuilds the
@@ -88,11 +104,7 @@ impl Database {
     /// index — for set-up and tests; the maintained path is
     /// [`Database::apply`]).
     pub fn relation_mut(&mut self, name: &RelationName) -> Option<RelationMut<'_>> {
-        let rel = self.relations.get_mut(name)?;
-        let indexes = self
-            .indexes
-            .get_mut(name)
-            .map_or(&mut [][..], Vec::as_mut_slice);
+        let Stored { rel, indexes } = self.relations.get_mut(name)?;
         Some(RelationMut { rel, indexes })
     }
 
@@ -111,14 +123,10 @@ impl Database {
     /// Apply a delta to a named relation, moving its join indexes by
     /// exactly the copies that changed hands.
     pub fn apply(&mut self, name: &RelationName, delta: &Delta) -> Result<(), SchemaError> {
-        let rel = self
+        let Stored { rel, indexes } = self
             .relations
             .get_mut(name)
             .ok_or_else(|| SchemaError::UnknownAttribute(format!("relation `{name}`")))?;
-        let indexes = self
-            .indexes
-            .get_mut(name)
-            .map_or(&mut [][..], Vec::as_mut_slice);
         delta.apply_observed(rel, |t, n| {
             for ix in indexes.iter_mut() {
                 ix.change(t, n);
@@ -131,10 +139,9 @@ impl Database {
     /// holds; each is built over the current contents. Idempotent.
     pub fn index_join_columns(&mut self, core: &SpjCore) {
         for (name, cols) in core.join_indexes() {
-            let Some(rel) = self.relations.get(name) else {
+            let Some(Stored { rel, indexes }) = self.relations.get_mut(name) else {
                 continue;
             };
-            let indexes = self.indexes.entry(name.clone()).or_default();
             if !indexes.iter().any(|ix| ix.cols() == cols) {
                 indexes.push(JoinIndex::build(rel, cols));
             }
@@ -146,9 +153,9 @@ impl Database {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
-        for (name, rel) in &self.relations {
+        for (name, stored) in &self.relations {
             name.as_str().hash(&mut h);
-            rel.fingerprint().hash(&mut h);
+            stored.rel.fingerprint().hash(&mut h);
         }
         h.finish()
     }
@@ -156,11 +163,12 @@ impl Database {
 
 impl StateProvider for Database {
     fn fetch(&self, name: &RelationName) -> Option<Cow<'_, Relation>> {
-        self.relations.get(name).map(Cow::Borrowed)
+        self.relation(name).map(Cow::Borrowed)
     }
 
     fn index(&self, name: &RelationName, cols: &[usize]) -> Option<&JoinIndex> {
-        self.indexes.get(name)?.iter().find(|ix| ix.cols() == cols)
+        let stored = self.relations.get(name)?;
+        stored.indexes.iter().find(|ix| ix.cols() == cols)
     }
 }
 
@@ -169,7 +177,7 @@ impl StateProvider for Database {
 /// drop.
 pub struct RelationMut<'a> {
     rel: &'a mut Relation,
-    indexes: &'a mut [JoinIndex],
+    indexes: &'a mut Vec<JoinIndex>,
 }
 
 impl Deref for RelationMut<'_> {

@@ -19,16 +19,31 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// One distinct tuple of a bucket: its hash (the relation fingerprint's
-/// `h(t)`), the tuple, its multiplicity. Maintenance compares hashes
-/// before tuples, so moving one tuple reads no other tuple's values — a
-/// commit touches the bucket's vector, not every tuple in it.
-type Entry = (u64, Tuple, u64);
+/// The distinct tuples whose key values hash alike, with multiplicities.
+/// `hashes[i]` is `tuples[i].0`'s hash (the relation fingerprint's
+/// `h(t)`): maintenance scans the hashes and reads no other tuple, and
+/// the whole bucket sits behind one table slot — no key to dereference.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    hashes: Vec<u64>,
+    tuples: Vec<(Tuple, u64)>,
+}
 
-/// Key values → the distinct tuples carrying them.
-type Buckets = HashMap<Vec<Value>, Vec<Entry>, BuildHasherDefault<FoldHasher>>;
+impl Bucket {
+    fn position(&self, h: u64, t: &Tuple) -> Option<usize> {
+        (0..self.hashes.len()).find(|&i| self.hashes[i] == h && self.tuples[i].0 == *t)
+    }
+}
+
+/// Hash of a key's values, the same for a probe key and for the values
+/// a tuple holds at the indexed columns.
+fn key_hash<'v>(values: impl Iterator<Item = &'v Value>) -> u64 {
+    let mut h = FoldHasher::default();
+    values.for_each(|v| v.hash(&mut h));
+    h.finish()
+}
 
 /// A relation's distinct tuples with their multiplicities, partitioned by
 /// the values at `cols`. Every tuple is held, `Null` keys included — the
@@ -36,7 +51,9 @@ type Buckets = HashMap<Vec<Value>, Vec<Entry>, BuildHasherDefault<FoldHasher>>;
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
     cols: Vec<usize>,
-    buckets: Buckets,
+    /// Key hash → bucket. Two keys whose hashes collide share a bucket;
+    /// [`JoinIndex::get`] tells them apart.
+    buckets: HashMap<u64, Bucket, BuildHasherDefault<FoldHasher>>,
 }
 
 /// The values of `t` at `cols`, borrowed when they are adjacent (a
@@ -56,7 +73,7 @@ impl JoinIndex {
     pub fn build(rel: &Relation, cols: &[usize]) -> Self {
         let mut index = JoinIndex {
             cols: cols.to_vec(),
-            buckets: Buckets::default(),
+            buckets: HashMap::default(),
         };
         for (t, n) in rel.iter_counted() {
             index.change(t, n as i64);
@@ -71,40 +88,42 @@ impl JoinIndex {
 
     /// Tuples whose values at [`JoinIndex::cols`] equal `key`, with their
     /// multiplicities.
-    pub fn get(&self, key: &[Value]) -> impl Iterator<Item = (&Tuple, u64)> {
+    pub fn get<'s: 'k, 'k>(
+        &'s self,
+        key: &'k [Value],
+    ) -> impl Iterator<Item = (&'s Tuple, u64)> + 'k {
         self.buckets
-            .get(key)
-            .map_or(&[][..], Vec::as_slice)
+            .get(&key_hash(key.iter()))
+            .map_or(&[][..], |b| b.tuples.as_slice())
             .iter()
-            .map(|(_, t, n)| (t, *n))
+            .filter(move |(t, _)| self.cols.iter().zip(key).all(|(&c, v)| t.get(c) == v))
+            .map(|(t, n)| (t, *n))
     }
 
     /// Record that `n` copies of `t` entered (`n > 0`) or left (`n < 0`)
     /// the relation. Callers pass what actually changed hands, so a
     /// clamped delete moves the index exactly as far as the relation.
     pub(crate) fn change(&mut self, t: &Tuple, n: i64) {
-        let key = key_of(t, &self.cols);
+        let key = key_hash(self.cols.iter().map(|&c| t.get(c)));
         let h = tuple_hash(t);
-        let at = |bucket: &[Entry]| bucket.iter().position(|(g, u, _)| *g == h && u == t);
         if n > 0 {
-            let n = n as u64;
-            if let Some(bucket) = self.buckets.get_mut(key.as_ref()) {
-                match at(bucket) {
-                    Some(i) => bucket[i].2 += n,
-                    None => bucket.push((h, t.clone(), n)),
+            let bucket = self.buckets.entry(key).or_default();
+            match bucket.position(h, t) {
+                Some(i) => bucket.tuples[i].1 += n as u64,
+                None => {
+                    bucket.hashes.push(h);
+                    bucket.tuples.push((t.clone(), n as u64));
                 }
-            } else {
-                self.buckets
-                    .insert(key.into_owned(), vec![(h, t.clone(), n)]);
             }
-        } else if let Some(bucket) = self.buckets.get_mut(key.as_ref()) {
-            if let Some(i) = at(bucket) {
-                let m = &mut bucket[i].2;
+        } else if let Some(bucket) = self.buckets.get_mut(&key) {
+            if let Some(i) = bucket.position(h, t) {
+                let m = &mut bucket.tuples[i].1;
                 *m = m.saturating_sub(n.unsigned_abs());
                 if *m == 0 {
-                    bucket.swap_remove(i);
-                    if bucket.is_empty() {
-                        self.buckets.remove(key.as_ref());
+                    bucket.hashes.swap_remove(i);
+                    bucket.tuples.swap_remove(i);
+                    if bucket.hashes.is_empty() {
+                        self.buckets.remove(&key);
                     }
                 }
             }
@@ -115,13 +134,21 @@ impl JoinIndex {
     /// O(|rel|); a check for tests, not for the query path.
     pub fn agrees_with(&self, rel: &Relation) -> bool {
         let fresh = JoinIndex::build(rel, &self.cols);
+        let sorted = |b: Option<&Bucket>| {
+            let mut v = b.map(|b| b.tuples.clone()).unwrap_or_default();
+            v.sort();
+            v
+        };
         fresh.buckets.len() == self.buckets.len()
-            && fresh.buckets.iter().all(|(key, bucket)| {
-                let mut mine: Vec<_> = self.buckets.get(key).cloned().unwrap_or_default();
-                let mut theirs = bucket.clone();
-                mine.sort();
-                theirs.sort();
-                mine == theirs
+            && fresh
+                .buckets
+                .iter()
+                .all(|(k, b)| sorted(Some(b)) == sorted(self.buckets.get(k)))
+            && self.buckets.values().all(|b| {
+                b.hashes
+                    .iter()
+                    .zip(&b.tuples)
+                    .all(|(&h, (t, _))| h == tuple_hash(t))
             })
     }
 }
