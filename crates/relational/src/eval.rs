@@ -340,6 +340,30 @@ pub fn eval_join_with<'s, 'a>(
         position: start,
         arity: core.sources.len(),
     })?;
+    // Bound rows, flattened: one tuple per visited occurrence, in visit
+    // order, then the row's multiplicity in `mults`.
+    let arity = core.occurrence_schema(start).arity();
+    let mut rows: Vec<&Tuple> = Vec::new();
+    let mut mults: Vec<u64> = Vec::new();
+    for (t, n) in seed {
+        if t.arity() != arity {
+            return Err(SchemaError::ArityMismatch {
+                expected: arity,
+                actual: t.arity(),
+            }
+            .into());
+        }
+        if passes_all(&plan.start_filter, t)? {
+            rows.push(t);
+            mults.push(n);
+        }
+    }
+    // Nothing to join (an empty delta part): touch no other occurrence —
+    // at a historical state, fetching one means reconstructing it.
+    if rows.is_empty() {
+        return Ok(());
+    }
+
     let sides: Vec<Side<'a>> = plan
         .steps
         .iter()
@@ -365,25 +389,6 @@ pub fn eval_join_with<'s, 'a>(
             Side::Scan(rel) => Probe::table(rel, &step.cols),
         })
         .collect();
-
-    // Bound rows, flattened: one tuple per visited occurrence, in visit
-    // order, then the row's multiplicity in `mults`.
-    let arity = core.occurrence_schema(start).arity();
-    let mut rows: Vec<&Tuple> = Vec::new();
-    let mut mults: Vec<u64> = Vec::new();
-    for (t, n) in seed {
-        if t.arity() != arity {
-            return Err(SchemaError::ArityMismatch {
-                expected: arity,
-                actual: t.arity(),
-            }
-            .into());
-        }
-        if passes_all(&plan.start_filter, t)? {
-            rows.push(t);
-            mults.push(n);
-        }
-    }
 
     let mut key_buf: Vec<Value> = Vec::new();
     for (width, (step, probe)) in (1..).zip(plan.steps.iter().zip(&probes)) {
